@@ -14,7 +14,9 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/planner.h"
 #include "datagen/lifesci.h"
+#include "expr/chain.h"
 #include "graph/solution.h"
 #include "graph/triple_store.h"
 #include "models/docking.h"
@@ -25,6 +27,7 @@
 #include "models/structure.h"
 #include "store/vector_store.h"
 #include "telemetry/profiler.h"
+#include "udf/profiler.h"
 
 namespace {
 
@@ -431,24 +434,106 @@ void BM_ShuffleBatch(benchmark::State& state) {
   constexpr int kParts = 16;
   graph::SolutionTable table = make_shuffle_table(rows);
   std::vector<int> dsts(rows);
+  graph::RowPartition partition;  // reused, as shuffle_rows reuses it
   for (auto _ : state) {
     std::vector<graph::SolutionTable> out(kParts, table.empty_like());
     const auto& keys = table.id_col(0);
     for (std::size_t row = 0; row < rows; ++row) {
       dsts[row] = static_cast<int>(mix64(keys[row]) % kParts);
     }
-    auto lists = graph::SolutionTable::partition_rows(dsts, kParts);
-    for (int d = 0; d < kParts; ++d) {
-      if (!lists[static_cast<std::size_t>(d)].empty()) {
-        out[static_cast<std::size_t>(d)].append_rows_from(
-            table, lists[static_cast<std::size_t>(d)]);
-      }
+    partition.assign(dsts, kParts);
+    for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
+      out[static_cast<std::size_t>(partition.dsts()[i])].append_rows_from(
+          table, partition.rows(i));
     }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_ShuffleBatch)->Arg(1 << 12)->Arg(1 << 14);
+
+// The wide fan-out shape of a 2048-rank query (fig4-wide): every rank holds
+// only a few rows and hashes them across all 2048 ranks. One iteration is a
+// whole shuffle (all sources into all destinations, partition buffers
+// reused across sources, as shuffle_rows does), so any per-(src, dst)
+// bookkeeping shows up as O(p^2) here; Arg = rows per source.
+void BM_ShuffleWide(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr int kRanks = 2048;
+  std::vector<graph::SolutionTable> parts;
+  for (int r = 0; r < kRanks; ++r) parts.push_back(make_shuffle_table(rows));
+  std::vector<int> dsts(rows);
+  graph::RowPartition partition;
+  for (auto _ : state) {
+    std::vector<graph::SolutionTable> out(kRanks, parts[0].empty_like());
+    for (const graph::SolutionTable& table : parts) {
+      const auto& keys = table.id_col(0);
+      for (std::size_t row = 0; row < rows; ++row) {
+        dsts[row] = static_cast<int>(mix64(keys[row]) % kRanks);
+      }
+      partition.assign(dsts, kRanks);
+      for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
+        out[static_cast<std::size_t>(partition.dsts()[i])].append_rows_from(
+            table, partition.rows(i));
+      }
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * rows * kRanks);
+}
+BENCHMARK(BM_ShuffleWide)->Arg(4)->Arg(32);
+
+// The FILTER planner of a 2048-rank query on the Fig 4 chain (DTBA, SW
+// similarity, pIC50): one profile snapshot, then a conjunct order and a
+// single-solution estimate per rank, as apply_filters plans before
+// re-balancing. Ranks have 0, a few (below full confidence) or many
+// executions, so every branch of the cost shrinkage is exercised.
+void BM_PlannerAllRanks(benchmark::State& state) {
+  constexpr int kRanks = 2048;
+  using expr::CmpOp;
+  using expr::Expr;
+  const std::vector<expr::ExprPtr> filters = {
+      Expr::Compare(
+          CmpOp::kGe,
+          Expr::Udf("ncnpr.dtba", {Expr::Var("prot"), Expr::Var("cpd")}),
+          Expr::Constant(7.4)),
+      Expr::Compare(CmpOp::kGe,
+                    Expr::Udf("ncnpr.sw_similarity", {Expr::Var("prot")}),
+                    Expr::Constant(0.9)),
+      Expr::Compare(CmpOp::kGe, Expr::Udf("ncnpr.pic50", {Expr::Var("cpd")}),
+                    Expr::Constant(5.0))};
+  std::vector<expr::Conjunct> conjuncts;
+  for (const auto& f : filters) {
+    for (auto& c : expr::flatten_conjuncts(f)) {
+      conjuncts.push_back(std::move(c));
+    }
+  }
+  udf::UdfProfiler profiler(kRanks);
+  Rng rng(43);
+  const char* names[] = {"ncnpr.dtba", "ncnpr.sw_similarity", "ncnpr.pic50"};
+  for (int r = 0; r < kRanks; ++r) {
+    for (const char* name : names) {
+      const auto execs = rng.next_below(40);
+      for (std::uint64_t i = 0; i < execs; ++i) {
+        profiler.record_exec(
+            r, name, static_cast<sim::Nanos>(1000 + rng.next_below(1000)));
+        if (rng.next_below(4) == 0) profiler.record_reject(r, name);
+      }
+    }
+  }
+  for (auto _ : state) {
+    const udf::ProfileSnapshot profile =
+        core::snapshot_profile(conjuncts, profiler);
+    double total = 0.0;
+    for (int r = 0; r < kRanks; ++r) {
+      auto order = core::order_conjuncts(conjuncts, r, profile);
+      total += core::estimate_solution_seconds(conjuncts, order, r, profile);
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetItemsProcessed(state.iterations() * kRanks);
+}
+BENCHMARK(BM_PlannerAllRanks);
 
 /// Build keys with ~4 rows per key (the engine's typical join fan-in) and
 /// probe keys drawn from the same domain.

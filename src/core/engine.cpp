@@ -37,6 +37,7 @@ double QueryResult::seconds_excluding(std::string_view prefix) const {
 namespace {
 
 using graph::RowIndex;
+using graph::RowPartition;
 using graph::SolutionTable;
 using graph::TermId;
 using graph::TriplePattern;
@@ -180,8 +181,8 @@ class QueryExecution {
   /// Call after any early-return guards, so skipped stages leave no span.
   void stage_begin(std::string_view name) {
     if (tracer_ == nullptr) return;
-    stage_span_ =
-        tracer_->begin_span(name, "stage", root_span_, -1, last_mark_);
+    stage_span_ = tracer_->begin_span(name, "stage", root_span_, -1,
+                                      last_mark_, stage_wall_start_);
   }
 
   /// Ends a pipeline stage: synchronizes clocks and records the stage's
@@ -196,7 +197,7 @@ class QueryExecution {
         static_cast<double>(wall_now - stage_wall_start_) * 1e-9;
     if (tracer_ != nullptr) {
       if (stage_span_ != telemetry::kNoSpan) {
-        tracer_->end_span(stage_span_, now);
+        tracer_->end_span(stage_span_, now, wall_now);
         stage_span_ = telemetry::kNoSpan;
       } else {
         // Stage ran without a stage_begin(): record it retroactively so
@@ -309,9 +310,9 @@ class QueryExecution {
 
   /// Moves every row to the rank returned by `dst_of`, charging the
   /// alpha-beta fabric model and synchronizing clocks (one alltoallv).
-  /// Batch kernel: destinations are computed into a flat array, partitioned
-  /// into per-destination index lists, and moved with one columnar gather
-  /// per (src, dst) pair instead of one schema-walk per row.
+  /// Batch kernel: destinations are computed into a flat array, grouped
+  /// into a CSR RowPartition, and moved with one columnar gather per
+  /// non-empty (src, dst) pair instead of one schema-walk per row.
   void shuffle_rows(
       const std::function<int(const SolutionTable&, std::size_t)>& dst_of) {
     if (!has_schema()) return;
@@ -323,17 +324,18 @@ class QueryExecution {
     const std::size_t row_bytes = parts_[0].row_bytes();
 
     std::vector<int> dsts;
+    RowPartition partition;
     for (int src = 0; src < p_; ++src) {
       auto& table = parts_[static_cast<std::size_t>(src)];
       const std::size_t n = table.num_rows();
       dsts.resize(n);
       for (std::size_t row = 0; row < n; ++row) dsts[row] = dst_of(table, row);
-      auto lists = SolutionTable::partition_rows(dsts, p_);
+      partition.assign(dsts, p_);
 
       auto& ts = traffic[static_cast<std::size_t>(src)];
-      for (int dst = 0; dst < p_; ++dst) {
-        const auto& rows = lists[static_cast<std::size_t>(dst)];
-        if (rows.empty()) continue;
+      for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
+        const int dst = partition.dsts()[i];
+        const auto rows = partition.rows(i);
         out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
         if (dst == src) continue;
         rows_partitioned_ += rows.size();
@@ -622,12 +624,13 @@ class QueryExecution {
                               static_cast<std::uint64_t>(p_));
     });
     {
-      // Shuffle the build side with the same partitioning: per-destination
-      // index lists, then one gather per (src, dst) pair.
+      // Shuffle the build side with the same partitioning: a CSR
+      // RowPartition, then one gather per non-empty (src, dst) pair.
       int bidx = build[0].id_var_index(join_var);
       std::vector<SolutionTable> shuffled(static_cast<std::size_t>(p_),
                                           build[0].empty_like());
       std::vector<int> dsts;
+      RowPartition partition;
       for (int src = 0; src < p_; ++src) {
         auto& t = build[static_cast<std::size_t>(src)];
         const auto& keys = t.id_col(bidx);
@@ -636,11 +639,10 @@ class QueryExecution {
           dsts[row] = static_cast<int>(mix64(keys[row]) %
                                        static_cast<std::uint64_t>(p_));
         }
-        auto lists = SolutionTable::partition_rows(dsts, p_);
-        for (int dst = 0; dst < p_; ++dst) {
-          const auto& rows = lists[static_cast<std::size_t>(dst)];
-          if (rows.empty()) continue;
-          shuffled[static_cast<std::size_t>(dst)].append_rows_from(t, rows);
+        partition.assign(dsts, p_);
+        for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
+          shuffled[static_cast<std::size_t>(partition.dsts()[i])]
+              .append_rows_from(t, partition.rows(i));
         }
       }
       build = std::move(shuffled);
@@ -935,13 +937,21 @@ class QueryExecution {
       conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
     }
 
-    // Per-rank conjunct orders (§2.4.3: per-rank reordering).
+    // Planning runs inside the first stage it feeds, so its wall time is
+    // both in that stage's account entry and inside its trace span.
+    const bool rebalance = opts_.rebalance != RebalancePolicy::kNone;
+    stage_begin(rebalance ? "rebalance" : "filter");
+
+    // Per-rank conjunct orders (§2.4.3: per-rank reordering), all planned
+    // from one snapshot of the profile.
+    const udf::ProfileSnapshot profile =
+        snapshot_profile(conjuncts, *profiler_);
     std::vector<std::vector<std::size_t>> orders(
         static_cast<std::size_t>(p_));
     for (int r = 0; r < p_; ++r) {
       if (opts_.reorder_filters) {
         orders[static_cast<std::size_t>(r)] =
-            order_conjuncts(conjuncts, r, *profiler_);
+            order_conjuncts(conjuncts, r, profile);
       } else {
         orders[static_cast<std::size_t>(r)].resize(conjuncts.size());
         std::iota(orders[static_cast<std::size_t>(r)].begin(),
@@ -951,15 +961,14 @@ class QueryExecution {
 
     // Solution re-balancing (§2.4.2) driven by per-rank single-solution
     // time estimates.
-    if (opts_.rebalance != RebalancePolicy::kNone) {
-      stage_begin("rebalance");
+    if (rebalance) {
       std::vector<std::size_t> counts(static_cast<std::size_t>(p_));
       std::vector<double> throughput(static_cast<std::size_t>(p_), 0.0);
       for (int r = 0; r < p_; ++r) {
         auto ru = static_cast<std::size_t>(r);
         counts[ru] = parts_[ru].num_rows();
-        double est = estimate_solution_seconds(conjuncts, orders[ru], r,
-                                               *profiler_);
+        double est =
+            estimate_solution_seconds(conjuncts, orders[ru], r, profile);
         if (est > 0.0) throughput[ru] = 1.0 / est;
       }
       // Ranks exchange their estimates (one small allreduce).
@@ -989,6 +998,7 @@ class QueryExecution {
         tracer_->add_attr(stage_span_, "speed_ratio", decision.speed_ratio);
       }
       mark("rebalance");
+      stage_begin("filter");
     }
 
     // Per-conjunct logical-call multipliers: a conjunct's evaluations are
@@ -1008,7 +1018,6 @@ class QueryExecution {
     // Evaluate the chain; the first falsy conjunct rejects the row and is
     // attributed to its last UDF (the rejection statistic of the paper's
     // profiling section).
-    stage_begin("filter");
     if (tracer_ != nullptr) {
       tracer_->add_attr(stage_span_, "reorder",
                         std::string_view(opts_.reorder_filters ? "on"
@@ -1462,8 +1471,10 @@ std::string IdsEngine::explain(const Query& query) const {
       auto flat = expr::flatten_conjuncts(f);
       conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
     }
+    const udf::ProfileSnapshot profile =
+        snapshot_profile(conjuncts, profiler_);
     auto rank0 = options_.reorder_filters
-                     ? order_conjuncts(conjuncts, 0, profiler_)
+                     ? order_conjuncts(conjuncts, 0, profile)
                      : [&] {
                          std::vector<std::size_t> v(conjuncts.size());
                          std::iota(v.begin(), v.end(), 0);
@@ -1474,7 +1485,7 @@ std::string IdsEngine::explain(const Query& query) const {
     if (options_.reorder_filters) {
       std::set<std::vector<std::size_t>> distinct;
       for (int r = 0; r < options_.topology.num_ranks(); ++r) {
-        distinct.insert(order_conjuncts(conjuncts, r, profiler_));
+        distinct.insert(order_conjuncts(conjuncts, r, profile));
       }
       out += ", " + std::to_string(distinct.size()) +
              " distinct order(s) across ranks";
@@ -1483,7 +1494,7 @@ std::string IdsEngine::explain(const Query& query) const {
     }
     out += "):\n";
     for (std::size_t ci : rank0) {
-      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profiler_);
+      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profile);
       std::snprintf(buf, sizeof(buf),
                     "    %-48s est_cost=%.4gs reject_rate=%.2f\n",
                     conjuncts[ci].expr->to_string().c_str(), est.cost_seconds,

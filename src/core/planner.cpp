@@ -80,40 +80,52 @@ std::vector<std::size_t> order_patterns(
   return order;
 }
 
+udf::ProfileSnapshot snapshot_profile(
+    const std::vector<expr::Conjunct>& conjuncts,
+    const udf::UdfProfiler& profiler) {
+  std::vector<std::string> names;
+  for (const auto& c : conjuncts) {
+    names.insert(names.end(), c.udfs.begin(), c.udfs.end());
+  }
+  return profiler.snapshot(names);
+}
+
 ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
-                                   const udf::UdfProfiler& profiler) {
+                                   const udf::ProfileSnapshot& profile) {
   ConjunctEstimate e;
   for (const auto& name : conjunct.udfs) {
-    e.cost_seconds += profiler.estimated_cost_seconds(rank, name);
-    const udf::UdfStats agg = profiler.aggregate(name);
-    e.rejection_rate = std::max(e.rejection_rate, agg.rejection_rate());
+    e.cost_seconds += profile.estimated_cost_seconds(rank, name);
+    e.rejection_rate =
+        std::max(e.rejection_rate, profile.aggregate(name).rejection_rate());
   }
   return e;
 }
 
 std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
-    const udf::UdfProfiler& profiler, double similar_ratio) {
+    const udf::ProfileSnapshot& profile, double similar_ratio) {
   const std::size_t n = conjuncts.size();
   std::vector<ConjunctEstimate> est(n);
   for (std::size_t i = 0; i < n; ++i) {
-    est[i] = estimate_conjunct(conjuncts[i], rank, profiler);
+    est[i] = estimate_conjunct(conjuncts[i], rank, profile);
   }
   // "Similar computational time" (§2.4.3) is made transitive by bucketing
   // costs logarithmically at the similarity ratio; within a bucket, higher
   // pruning power goes first, and stable sort preserves the written order
   // for full ties.
-  auto bucket_of = [similar_ratio](double cost) {
-    if (cost <= 0.0) return std::numeric_limits<int>::min();
-    return static_cast<int>(std::floor(std::log(cost) / std::log(similar_ratio)));
-  };
+  const double log_ratio = std::log(similar_ratio);
+  std::vector<int> bucket(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cost = est[i].cost_seconds;
+    bucket[i] = cost <= 0.0
+                    ? std::numeric_limits<int>::min()
+                    : static_cast<int>(std::floor(std::log(cost) / log_ratio));
+  }
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     int ba = bucket_of(est[a].cost_seconds);
-                     int bb = bucket_of(est[b].cost_seconds);
-                     if (ba != bb) return ba < bb;
+                     if (bucket[a] != bucket[b]) return bucket[a] < bucket[b];
                      return est[a].rejection_rate > est[b].rejection_rate;
                    });
   return order;
@@ -122,15 +134,30 @@ std::vector<std::size_t> order_conjuncts(
 double estimate_solution_seconds(
     const std::vector<expr::Conjunct>& conjuncts,
     const std::vector<std::size_t>& order, int rank,
-    const udf::UdfProfiler& profiler) {
+    const udf::ProfileSnapshot& profile) {
   double total = 0.0;
   double reach_probability = 1.0;
   for (std::size_t idx : order) {
-    ConjunctEstimate e = estimate_conjunct(conjuncts[idx], rank, profiler);
+    ConjunctEstimate e = estimate_conjunct(conjuncts[idx], rank, profile);
     total += reach_probability * e.cost_seconds;
     reach_probability *= std::max(0.0, 1.0 - e.rejection_rate);
   }
   return total;
+}
+
+std::vector<std::size_t> order_conjuncts(
+    const std::vector<expr::Conjunct>& conjuncts, int rank,
+    const udf::UdfProfiler& profiler, double similar_ratio) {
+  return order_conjuncts(conjuncts, rank,
+                         snapshot_profile(conjuncts, profiler), similar_ratio);
+}
+
+double estimate_solution_seconds(
+    const std::vector<expr::Conjunct>& conjuncts,
+    const std::vector<std::size_t>& order, int rank,
+    const udf::UdfProfiler& profiler) {
+  return estimate_solution_seconds(conjuncts, order, rank,
+                                   snapshot_profile(conjuncts, profiler));
 }
 
 }  // namespace ids::core

@@ -1,6 +1,7 @@
 #include "graph/solution.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -123,23 +124,50 @@ void SolutionTable::append_prefix_from(const SolutionTable& other,
   }
 }
 
-std::vector<std::vector<RowIndex>> SolutionTable::partition_rows(
-    std::span<const int> dst_of_row, int num_dsts) {
+void RowPartition::assign(std::span<const int> dst_of_row, int num_dsts) {
   IDS_CHECK(dst_of_row.size() < 0xffffffffull)
       << "row index space is 32-bit";
-  // Counting pass first so each destination list is one exact allocation.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_dsts), 0);
-  for (int d : dst_of_row) ++counts[static_cast<std::size_t>(d)];
-  std::vector<std::vector<RowIndex>> lists(static_cast<std::size_t>(num_dsts));
-  for (int d = 0; d < num_dsts; ++d) {
-    lists[static_cast<std::size_t>(d)].reserve(
-        counts[static_cast<std::size_t>(d)]);
+  num_dsts_ = static_cast<std::size_t>(num_dsts);
+  // Between calls every count is 0 and no destination is marked, so a call
+  // costs O(rows + num_dsts / 64): resizing keeps the zeros, and only the
+  // destinations this call marks are visited and reset.
+  count_.resize(num_dsts_);
+  marked_.resize((num_dsts_ + 63) / 64);
+  for (int d : dst_of_row) {
+    const auto du = static_cast<std::size_t>(d);
+    if (count_[du]++ == 0) marked_[du / 64] |= std::uint64_t{1} << (du % 64);
   }
+  // Exclusive prefix sum over the marked destinations in ascending order;
+  // each count becomes its group's first write slot.
+  dsts_.clear();
+  offsets_.clear();
+  RowIndex next = 0;
+  for (std::size_t w = 0; w < marked_.size(); ++w) {
+    for (std::uint64_t bits = marked_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t d =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      dsts_.push_back(static_cast<int>(d));
+      offsets_.push_back(next);
+      const RowIndex count = count_[d];
+      count_[d] = next;
+      next += count;
+    }
+    marked_[w] = 0;
+  }
+  offsets_.push_back(next);
+  rows_.resize(dst_of_row.size());
   for (std::size_t r = 0; r < dst_of_row.size(); ++r) {
-    lists[static_cast<std::size_t>(dst_of_row[r])].push_back(
-        static_cast<RowIndex>(r));
+    rows_[count_[static_cast<std::size_t>(dst_of_row[r])]++] =
+        static_cast<RowIndex>(r);
   }
-  return lists;
+  for (int d : dsts_) count_[static_cast<std::size_t>(d)] = 0;
+}
+
+RowPartition SolutionTable::partition_rows(std::span<const int> dst_of_row,
+                                           int num_dsts) {
+  RowPartition out;
+  out.assign(dst_of_row, num_dsts);
+  return out;
 }
 
 int SolutionTable::add_num_var(std::string name) {

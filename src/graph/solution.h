@@ -25,6 +25,44 @@ namespace ids::graph {
 /// far below 2^32 (parts are per-rank slices of an in-memory table).
 using RowIndex = std::uint32_t;
 
+/// Row positions of one table grouped by destination, in CSR form: every
+/// row index, grouped by destination and ascending within a group, in one
+/// array, plus the ascending list of destinations that received rows and
+/// where each group starts. The index groups feed append_rows_from, turning
+/// a row-at-a-time shuffle into one gather per (source, destination) pair;
+/// destinations that received nothing are never stored or visited.
+class RowPartition {
+ public:
+  /// Regroups rows by destination (dst_of_row[r] in [0, num_dsts)) with a
+  /// counting sort, reusing this partition's buffers. Costs O(rows +
+  /// num_dsts / 64): a bitmap, not a scan of every destination, finds the
+  /// non-empty ones.
+  void assign(std::span<const int> dst_of_row, int num_dsts)
+      IDS_INVALIDATES(rows_);
+
+  /// Number of destinations partitioned over, including empty ones.
+  std::size_t size() const { return num_dsts_; }
+
+  /// Destinations that received at least one row, ascending.
+  std::span<const int> dsts() const { return dsts_; }
+
+  /// Rows sent to dsts()[i], ascending.
+  std::span<const RowIndex> rows(std::size_t i) const {
+    return std::span<const RowIndex>(rows_).subspan(
+        offsets_[i], offsets_[i + 1] - offsets_[i]);
+  }
+
+ private:
+  std::size_t num_dsts_ = 0;
+  std::vector<int> dsts_;
+  std::vector<RowIndex> offsets_;  // dsts_.size() + 1 group bounds in rows_
+  std::vector<RowIndex> rows_;
+  // Scratch, all zero between calls: per-destination count (then write
+  // slot) and the bitmap of destinations that received rows.
+  std::vector<RowIndex> count_;
+  std::vector<std::uint64_t> marked_;
+};
+
 class SolutionTable {
  public:
   SolutionTable() = default;
@@ -85,12 +123,10 @@ class SolutionTable {
                           std::span<const RowIndex> rows)
       IDS_INVALIDATES(id_cols_);
 
-  /// Splits row positions by destination: partition_rows(dst, p)[d] lists
-  /// the rows r (ascending) with dst[r] == d. The index lists feed
-  /// append_rows_from, turning a row-at-a-time shuffle into one gather per
-  /// (source, destination) pair.
-  static std::vector<std::vector<RowIndex>> partition_rows(
-      std::span<const int> dst_of_row, int num_dsts);
+  /// Splits row positions by destination (see RowPartition). Shuffles that
+  /// partition many sources reuse one RowPartition via assign() instead.
+  static RowPartition partition_rows(std::span<const int> dst_of_row,
+                                     int num_dsts);
 
   /// Mutable column access for batch kernels that write new bindings
   /// directly (see append_prefix_from). Callers must leave every column at

@@ -182,7 +182,12 @@ Span* Tracer::find_locked(SpanId id) {
 
 SpanId Tracer::begin_span(std::string_view name, std::string_view category,
                           SpanId parent, int rank, sim::Nanos virt_now) {
-  const std::uint64_t wall = wall_now_ns();
+  return begin_span(name, category, parent, rank, virt_now, wall_now_ns());
+}
+
+SpanId Tracer::begin_span(std::string_view name, std::string_view category,
+                          SpanId parent, int rank, sim::Nanos virt_now,
+                          std::uint64_t wall) {
   MutexLock lock(mutex_);
   if (spans_.size() >= max_spans_) {
     ++dropped_;
@@ -204,7 +209,10 @@ SpanId Tracer::begin_span(std::string_view name, std::string_view category,
 }
 
 void Tracer::end_span(SpanId id, sim::Nanos virt_now) {
-  const std::uint64_t wall = wall_now_ns();
+  end_span(id, virt_now, wall_now_ns());
+}
+
+void Tracer::end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall) {
   MutexLock lock(mutex_);
   Span* span = find_locked(id);
   if (span == nullptr) return;

@@ -93,8 +93,15 @@ class Tracer {
   SpanId begin_span(std::string_view name, std::string_view category,
                     SpanId parent, int rank, sim::Nanos virt_now)
       IDS_EXCLUDES(mutex_);
+  /// As above, stamped with the caller's wall start instead (a stamp the
+  /// caller shares with its own record of the interval).
+  SpanId begin_span(std::string_view name, std::string_view category,
+                    SpanId parent, int rank, sim::Nanos virt_now,
+                    std::uint64_t wall_start_ns) IDS_EXCLUDES(mutex_);
 
   void end_span(SpanId id, sim::Nanos virt_now) IDS_EXCLUDES(mutex_);
+  void end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall_end_ns)
+      IDS_EXCLUDES(mutex_);
 
   /// Records a completed span in one call (both time ranges supplied by
   /// the caller). Used where the span is only known after the fact.

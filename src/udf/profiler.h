@@ -10,12 +10,13 @@
 // the lifetime of an IDS instance — stats persist across queries.
 //
 // Locking contract: the store is sharded by rank, one mutex per shard.
-// A rank's record_* calls only touch its own shard (uncontended on the
-// hot path), while cross-rank readers (aggregate, estimated cost) lock
-// each shard in turn — so the planner may read concurrently with ranks
-// still recording, which is exactly what solution re-balancing does.
+// A rank's record_* calls only touch its own shard, so recording is
+// uncontended on the hot path. The planner never reads the live shards:
+// once per query, between stage barriers, it takes a ProfileSnapshot of
+// the query's UDFs (one pass, one lock per shard) and plans every rank
+// from that immutable copy without taking a lock. The snapshot is the
+// planner's single read path; records made after it do not change it.
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -51,6 +52,39 @@ struct UdfStats {
     total_time += other.total_time;
     rejects += other.rejects;
   }
+};
+
+/// Immutable copy of the per-rank stats of a fixed set of UDFs, plus their
+/// cross-rank aggregates: what the planner reads to order and cost one
+/// query's FILTER chain on every rank. A plain value; reads take no locks.
+class ProfileSnapshot {
+ public:
+  /// `name`'s stats on `rank`; zeroed if never seen there. `name` must be
+  /// one of the UDFs the snapshot was taken for.
+  const UdfStats& get(int rank, std::string_view name) const {
+    return per_rank_[static_cast<std::size_t>(rank) * names_.size() +
+                     index_of(name)];
+  }
+
+  /// `name`'s stats aggregated over all ranks.
+  const UdfStats& aggregate(std::string_view name) const {
+    return aggregate_[index_of(name)];
+  }
+
+  /// Estimated mean cost of one execution on `rank`: the rank's own mean,
+  /// shrunk toward the cross-rank aggregate by sample count (see
+  /// UdfProfiler::kFullConfidenceExecs). Falls back to the aggregate (then
+  /// 0) for UDFs the rank (or every rank) never ran.
+  double estimated_cost_seconds(int rank, std::string_view name) const;
+
+ private:
+  friend class UdfProfiler;
+
+  std::size_t index_of(std::string_view name) const;
+
+  std::vector<std::string> names_;   // distinct, in first-requested order
+  std::vector<UdfStats> per_rank_;   // [rank * names_.size() + udf]
+  std::vector<UdfStats> aggregate_;  // [udf]
 };
 
 class UdfProfiler {
@@ -105,16 +139,13 @@ class UdfProfiler {
     return it == shard.stats.end() ? UdfStats{} : it->second;
   }
 
-  /// Stats aggregated over all ranks.
+  /// Copies the stats of `names` (duplicates allowed) on every rank, one
+  /// lock per shard, and aggregates them across ranks.
+  ProfileSnapshot snapshot(const std::vector<std::string>& names) const;
+
+  /// Stats aggregated over all ranks (a one-UDF snapshot).
   UdfStats aggregate(std::string_view name) const {
-    const std::string key(name);
-    UdfStats out;
-    for (Shard& shard : per_rank_) {
-      MutexLock lock(shard.mutex);
-      auto it = shard.stats.find(key);
-      if (it != shard.stats.end()) out.merge(it->second);
-    }
-    return out;
+    return snapshot({std::string(name)}).aggregate(name);
   }
 
   /// Executions a rank needs before its own mean is fully trusted. Below
@@ -125,17 +156,9 @@ class UdfProfiler {
   /// to a rank whose one sampled row was cheap.
   static constexpr std::uint64_t kFullConfidenceExecs = 16;
 
-  /// Estimated mean cost of one execution on `rank`: the rank's own mean,
-  /// shrunk toward the cross-rank aggregate by sample count. Falls back to
-  /// the aggregate (then 0) for unseen UDFs.
+  /// ProfileSnapshot::estimated_cost_seconds over a one-UDF snapshot.
   double estimated_cost_seconds(int rank, std::string_view name) const {
-    UdfStats agg = aggregate(name);
-    double agg_mean = agg.mean_cost_seconds();
-    UdfStats s = get(rank, name);
-    if (s.execs == 0) return agg_mean;
-    double w = std::min(1.0, static_cast<double>(s.execs) /
-                                 static_cast<double>(kFullConfidenceExecs));
-    return (1.0 - w) * agg_mean + w * s.mean_cost_seconds();
+    return snapshot({std::string(name)}).estimated_cost_seconds(rank, name);
   }
 
   void clear() {
@@ -152,7 +175,7 @@ class UdfProfiler {
   };
 
   telemetry::MetricsRegistry* metrics_;
-  // mutable: const readers (get/aggregate) still lock the shard mutexes.
+  // mutable: const readers (get/snapshot) still lock the shard mutexes.
   mutable std::vector<Shard> per_rank_;
 };
 

@@ -487,6 +487,7 @@ TEST(KernelEquivalence, GoldenDistinctInvokeModeledResults) {
 // ---------------------------------------------------------------------------
 
 using graph::RowIndex;
+using graph::RowPartition;
 using graph::SolutionTable;
 
 SolutionTable random_table(Rng* rng, std::size_t rows) {
@@ -548,6 +549,31 @@ TEST(BatchPrimitives, AppendRowRangeFromMatchesPerRowLoop) {
   EXPECT_EQ(batch.num_rows(), std::size_t{76});
 }
 
+// `partition` must be the stable CSR partition of `dst` over `parts`
+// destinations: it visits exactly the destinations that received rows, in
+// ascending order, each with its rows ascending, and places every row once.
+void expect_stable_partition(const RowPartition& partition,
+                             const std::vector<int>& dst, int parts) {
+  ASSERT_EQ(partition.size(), static_cast<std::size_t>(parts));
+  std::vector<std::vector<RowIndex>> expected(static_cast<std::size_t>(parts));
+  for (std::size_t r = 0; r < dst.size(); ++r) {
+    expected[static_cast<std::size_t>(dst[r])].push_back(
+        static_cast<RowIndex>(r));
+  }
+  std::vector<int> non_empty;
+  for (int d = 0; d < parts; ++d) {
+    if (!expected[static_cast<std::size_t>(d)].empty()) non_empty.push_back(d);
+  }
+  ASSERT_EQ(std::vector<int>(partition.dsts().begin(), partition.dsts().end()),
+            non_empty);
+  for (std::size_t i = 0; i < non_empty.size(); ++i) {
+    const auto rows = partition.rows(i);
+    EXPECT_EQ(std::vector<RowIndex>(rows.begin(), rows.end()),
+              expected[static_cast<std::size_t>(non_empty[i])])
+        << "destination " << non_empty[i];
+  }
+}
+
 TEST(BatchPrimitives, PartitionRowsIsAStablePartition) {
   Rng rng(33);
   const int parts = 7;
@@ -555,18 +581,39 @@ TEST(BatchPrimitives, PartitionRowsIsAStablePartition) {
   for (int i = 0; i < 1000; ++i) {
     dst.push_back(static_cast<int>(rng.next_below(parts)));
   }
-  auto lists = SolutionTable::partition_rows(dst, parts);
-  ASSERT_EQ(lists.size(), static_cast<std::size_t>(parts));
+  expect_stable_partition(SolutionTable::partition_rows(dst, parts), dst,
+                          parts);
 
-  std::size_t total = 0;
-  for (int d = 0; d < parts; ++d) {
-    const auto& rows = lists[static_cast<std::size_t>(d)];
-    total += rows.size();
-    // Every listed row maps to d, in ascending (stable) order.
-    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
-    for (RowIndex r : rows) EXPECT_EQ(dst[r], d);
+  // One destination.
+  const std::vector<int> single(50, 0);
+  expect_stable_partition(SolutionTable::partition_rows(single, 1), single, 1);
+
+  // Far more destinations than rows (the wide fan-out of a 2048-rank
+  // shuffle): only the three receiving destinations are visited.
+  const std::vector<int> wide = {1999, 3, 1999};
+  const RowPartition w = SolutionTable::partition_rows(wide, 2048);
+  EXPECT_EQ(w.dsts().size(), std::size_t{2});
+  expect_stable_partition(w, wide, 2048);
+
+  // Empty input: no destination is visited.
+  const std::vector<int> none;
+  const RowPartition e = SolutionTable::partition_rows(none, 5);
+  EXPECT_TRUE(e.dsts().empty());
+  expect_stable_partition(e, none, 5);
+
+  // Every row to one destination.
+  const std::vector<int> skew(300, 4);
+  expect_stable_partition(SolutionTable::partition_rows(skew, 9), skew, 9);
+
+  // A reused partition (as shuffles reuse one across sources) forgets its
+  // previous contents, whether the next input is larger or smaller.
+  RowPartition reused;
+  const std::pair<const std::vector<int>*, int> inputs[] = {
+      {&dst, parts}, {&wide, 2048}, {&none, 5}, {&skew, 9}, {&dst, parts}};
+  for (const auto& [in, n] : inputs) {
+    reused.assign(*in, n);
+    expect_stable_partition(reused, *in, n);
   }
-  EXPECT_EQ(total, dst.size());  // a partition: each row exactly once
 }
 
 TEST(BatchPrimitives, AppendPrefixFromMatchesWidenedPerRowBuild) {

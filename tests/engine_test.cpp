@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "core/engine.h"
@@ -283,7 +284,8 @@ TEST_F(EngineFixture, InvokeWithCacheHitsOnRepeat) {
   EngineOptions opts;
   opts.cache = &cache;
   IdsEngine eng = make_engine(opts);
-  int real_calls = 0;
+  // Ranks call the UDF from pool threads, so the counter is atomic.
+  std::atomic<int> real_calls{0};
   eng.registry().register_static(
       "expensive", [&real_calls](const udf::UdfContext& ctx,
                                  std::span<const expr::Value> args) {
@@ -306,12 +308,12 @@ TEST_F(EngineFixture, InvokeWithCacheHitsOnRepeat) {
   QueryResult cold = eng.execute(q);
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 10u);
-  EXPECT_EQ(real_calls, 10);
+  EXPECT_EQ(real_calls.load(), 10);
 
   QueryResult warm = eng.execute(q);
   EXPECT_EQ(warm.cache_hits, 10u);
   EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(real_calls, 10);  // no recomputation
+  EXPECT_EQ(real_calls.load(), 10);  // no recomputation
   EXPECT_LT(warm.total_seconds, cold.total_seconds * 0.5);
 
   // Values survive the cache round trip.

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "core/planner.h"
+#include "common/rng.h"
 #include "core/rebalancer.h"
 #include "expr/chain.h"
 #include "graph/triple_store.h"
@@ -246,6 +251,188 @@ TEST(ConjunctOrdering, SolutionTimeEstimateDiscountsBySelectivity) {
   double est = estimate_solution_seconds(conj, order, 0, prof);
   // 1.0 + 0.1 * 10.0 = 2.0 (the second conjunct runs only 10% of the time).
   EXPECT_NEAR(est, 2.0, 1e-9);
+}
+
+// --- Profile snapshot equivalence --------------------------------------------
+//
+// The planner reads one ProfileSnapshot per query. Its orders and estimates
+// must equal, bit for bit, a reference computed straight from the live
+// profiler's per-rank get() with the aggregate merged over ranks.
+
+struct RefEstimate {
+  double cost = 0.0;
+  double reject = 0.0;
+};
+
+udf::UdfStats ref_aggregate(const udf::UdfProfiler& prof,
+                            const std::string& name) {
+  udf::UdfStats agg;
+  for (int r = 0; r < prof.num_ranks(); ++r) agg.merge(prof.get(r, name));
+  return agg;
+}
+
+RefEstimate ref_estimate(const udf::UdfProfiler& prof,
+                         const expr::Conjunct& c, int rank) {
+  RefEstimate e;
+  for (const auto& name : c.udfs) {
+    const udf::UdfStats agg = ref_aggregate(prof, name);
+    const udf::UdfStats s = prof.get(rank, name);
+    double cost = agg.mean_cost_seconds();
+    if (s.execs != 0) {
+      double w = std::min(
+          1.0, static_cast<double>(s.execs) /
+                   static_cast<double>(udf::UdfProfiler::kFullConfidenceExecs));
+      cost = (1.0 - w) * cost + w * s.mean_cost_seconds();
+    }
+    e.cost += cost;
+    e.reject = std::max(e.reject, agg.rejection_rate());
+  }
+  return e;
+}
+
+std::vector<std::size_t> ref_order(const udf::UdfProfiler& prof,
+                                   const std::vector<expr::Conjunct>& conj,
+                                   int rank) {
+  std::vector<RefEstimate> est;
+  for (const auto& c : conj) est.push_back(ref_estimate(prof, c, rank));
+  auto bucket = [](double cost) {
+    if (cost <= 0.0) return std::numeric_limits<int>::min();
+    return static_cast<int>(std::floor(std::log(cost) / std::log(1.2)));
+  };
+  std::vector<std::size_t> order(conj.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (bucket(est[a].cost) != bucket(est[b].cost)) {
+                       return bucket(est[a].cost) < bucket(est[b].cost);
+                     }
+                     return est[a].reject > est[b].reject;
+                   });
+  return order;
+}
+
+double ref_solution_seconds(const udf::UdfProfiler& prof,
+                            const std::vector<expr::Conjunct>& conj,
+                            const std::vector<std::size_t>& order, int rank) {
+  double total = 0.0;
+  double reach = 1.0;
+  for (std::size_t idx : order) {
+    RefEstimate e = ref_estimate(prof, conj[idx], rank);
+    total += reach * e.cost;
+    reach *= std::max(0.0, 1.0 - e.reject);
+  }
+  return total;
+}
+
+/// Random per-rank profile: each (rank, UDF) gets no executions, fewer than
+/// kFullConfidenceExecs, or more, with random costs and rejects.
+void fill_random_profile(udf::UdfProfiler* prof,
+                         const std::vector<std::string>& udfs, Rng* rng) {
+  constexpr std::uint64_t kFull = udf::UdfProfiler::kFullConfidenceExecs;
+  for (int r = 0; r < prof->num_ranks(); ++r) {
+    for (const auto& name : udfs) {
+      std::uint64_t execs = 0;
+      switch (rng->next_below(3)) {
+        case 0: break;
+        case 1:
+          execs = 1 + rng->next_below(kFull - 1);
+          break;
+        default:
+          execs = kFull + rng->next_below(30);
+      }
+      for (std::uint64_t i = 0; i < execs; ++i) {
+        prof->record_exec(
+            r, name, static_cast<sim::Nanos>(1 + rng->next_below(5'000'000)));
+        if (rng->next_below(3) == 0) prof->record_reject(r, name);
+      }
+    }
+  }
+}
+
+TEST(ProfileSnapshot, PlannerMatchesLiveProfilerReferenceBitForBit) {
+  const std::vector<std::string> seen = {"a", "b", "c", "d"};
+  // "a" appears in three conjuncts (once alongside "b"), "ghost" was never
+  // executed anywhere, and one conjunct calls no UDF at all.
+  const std::vector<expr::Conjunct> conj = {
+      {Expr::Udf("c", {}), {"c"}},
+      {Expr::Udf("a", {}), {"a"}},
+      {Expr::Udf("ghost", {}), {"ghost"}},
+      {Expr::Udf("a", {}), {"a", "b"}},
+      {Expr::Constant(true), {}},
+      {Expr::Udf("d", {}), {"d", "a"}},
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    udf::UdfProfiler prof(37);
+    fill_random_profile(&prof, seen, &rng);
+
+    const udf::ProfileSnapshot snap = snapshot_profile(conj, prof);
+    for (const auto& name : seen) {
+      const udf::UdfStats agg = ref_aggregate(prof, name);
+      EXPECT_EQ(snap.aggregate(name).execs, agg.execs);
+      EXPECT_EQ(snap.aggregate(name).total_time, agg.total_time);
+      EXPECT_EQ(snap.aggregate(name).rejects, agg.rejects);
+      EXPECT_EQ(prof.aggregate(name).total_time, agg.total_time);
+    }
+    for (int r = 0; r < prof.num_ranks(); ++r) {
+      const auto order = order_conjuncts(conj, r, snap);
+      EXPECT_EQ(order, ref_order(prof, conj, r)) << "rank " << r;
+      EXPECT_EQ(order, order_conjuncts(conj, r, prof)) << "rank " << r;
+      EXPECT_EQ(estimate_solution_seconds(conj, order, r, snap),
+                ref_solution_seconds(prof, conj, order, r))
+          << "rank " << r;
+      for (const auto& c : conj) {
+        const ConjunctEstimate e = estimate_conjunct(c, r, snap);
+        const RefEstimate ref = ref_estimate(prof, c, r);
+        EXPECT_EQ(e.cost_seconds, ref.cost);
+        EXPECT_EQ(e.rejection_rate, ref.reject);
+      }
+      for (const auto& name : seen) {
+        EXPECT_EQ(snap.estimated_cost_seconds(r, name),
+                  prof.estimated_cost_seconds(r, name));
+      }
+    }
+  }
+}
+
+TEST(ProfileSnapshot, LaterRecordsDoNotChangeIt) {
+  const std::vector<expr::Conjunct> conj = {
+      {Expr::Udf("f", {}), {"f"}},
+      {Expr::Udf("g", {}), {"g"}},
+  };
+  Rng rng(9);
+  udf::UdfProfiler prof(8);
+  fill_random_profile(&prof, {"f", "g"}, &rng);
+
+  const udf::ProfileSnapshot snap = snapshot_profile(conj, prof);
+  std::vector<std::vector<std::size_t>> orders;
+  std::vector<double> estimates;
+  std::vector<std::uint64_t> execs;
+  for (int r = 0; r < prof.num_ranks(); ++r) {
+    orders.push_back(order_conjuncts(conj, r, snap));
+    estimates.push_back(
+        estimate_solution_seconds(conj, orders.back(), r, snap));
+    execs.push_back(snap.get(r, "f").execs);
+  }
+
+  // Make f far more expensive and g a perfect filter everywhere.
+  for (int r = 0; r < prof.num_ranks(); ++r) {
+    for (int i = 0; i < 64; ++i) {
+      prof.record_exec(r, "f", sim::from_seconds(100.0));
+      prof.record_exec(r, "g", sim::from_millis(1));
+      prof.record_reject(r, "g");
+    }
+  }
+
+  for (int r = 0; r < prof.num_ranks(); ++r) {
+    const auto ru = static_cast<std::size_t>(r);
+    EXPECT_EQ(order_conjuncts(conj, r, snap), orders[ru]);
+    EXPECT_EQ(estimate_solution_seconds(conj, orders[ru], r, snap),
+              estimates[ru]);
+    EXPECT_EQ(snap.get(r, "f").execs, execs[ru]);
+    EXPECT_NE(prof.get(r, "f").execs, execs[ru]);
+  }
 }
 
 }  // namespace

@@ -666,8 +666,11 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   ASSERT_NE(root, nullptr);
 
   // One stage span per StageTiming, same names, same order, and the
-  // modeled duration converts to the *identical* double.
+  // modeled duration converts to the *identical* double. The wall range is
+  // the account's too, stamp for stamp, so the trace and the account agree
+  // on where host time went.
   ASSERT_EQ(stage_spans.size(), r.stages.size());
+  ASSERT_EQ(r.account.stages.size(), r.stages.size());
   sim::Nanos cursor = 0;
   sim::Nanos total = 0;
   for (std::size_t i = 0; i < stage_spans.size(); ++i) {
@@ -675,6 +678,15 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
     EXPECT_EQ(sim::to_seconds(stage_spans[i].virt_duration()),
               r.stages[i].seconds)
         << "stage " << r.stages[i].stage;
+    EXPECT_EQ(static_cast<double>(stage_spans[i].wall_end_ns -
+                                  stage_spans[i].wall_start_ns) *
+                  1e-9,
+              r.account.stages[i].wall_seconds)
+        << "stage " << r.stages[i].stage;
+    if (i > 0) {
+      // Stages tile the query's wall timeline too.
+      EXPECT_EQ(stage_spans[i].wall_start_ns, stage_spans[i - 1].wall_end_ns);
+    }
     EXPECT_EQ(stage_spans[i].parent, root->id);
     // Stages tile the query's modeled timeline with no gaps.
     EXPECT_EQ(stage_spans[i].virt_start, cursor);
