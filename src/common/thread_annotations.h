@@ -98,17 +98,6 @@
 /// timestamps). Suppresses [wallclock-in-engine] for the function.
 #define IDS_WALLCLOCK_OK
 
-/// Waives one declaration from the shared-state certificate
-/// (`ids-analyzer --certify=concurrent-exec`): the annotated member,
-/// static, or global is mutable shared state that is only sound while the
-/// engine serves ONE query at a time (e.g. ingest-time mutation that is
-/// frozen before serving). The reason is an identifier-style tag, e.g.
-/// `IDS_SINGLE_QUERY_ONLY(ingest_mutable_frozen_before_serve)`, and the
-/// set of waivers doubles as the worklist for concurrent query serving
-/// (ROADMAP item 1). Trails the declarator like IDS_GUARDED_BY; expands to
-/// nothing on every compiler.
-#define IDS_SINGLE_QUERY_ONLY(reason)
-
 /// Declares an ingest→freeze→serve epoch for one field: the annotated
 /// member is mutable only until the owning class's named freeze method
 /// (e.g. `IDS_FROZEN_AFTER(finalize)`) has run, and is immutable — hence
@@ -118,9 +107,9 @@
 /// the freeze method itself, or a mutator that checks `!frozen()`), and
 /// no write may be reachable from `IdsEngine::execute`. On the
 /// `--certify=concurrent-exec` ladder these fields land on the
-/// `frozen-after-init` rung instead of needing an IDS_SINGLE_QUERY_ONLY
-/// waiver. Trails the declarator like IDS_GUARDED_BY; expands to nothing
-/// on every compiler.
+/// `frozen-after-init` rung; a mutable field reachable from execute() with
+/// neither this, a guard, nor an atomic type is a violation. Trails the
+/// declarator like IDS_GUARDED_BY; expands to nothing on every compiler.
 #define IDS_FROZEN_AFTER(freeze_method)
 
 /// Declares that calling this method may invalidate views (spans,

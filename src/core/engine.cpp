@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "common/check.h"
@@ -56,6 +57,38 @@ std::vector<std::string> pattern_vars(const TriplePattern& p) {
   add(p.o);
   return vars;
 }
+
+/// A query's FILTER chain planned for every rank (§2.4.3: per-rank
+/// reordering), all ranks planned from one snapshot of the UDF profile.
+struct FilterPlan {
+  std::vector<expr::Conjunct> conjuncts;
+  udf::ProfileSnapshot profile;
+  std::vector<std::vector<std::size_t>> orders;  // [rank] -> conjunct order
+
+  FilterPlan(const std::vector<expr::ExprPtr>& filters,
+             const udf::UdfProfiler& profiler, int num_ranks, bool reorder) {
+    for (const auto& f : filters) {
+      auto flat = expr::flatten_conjuncts(f);
+      conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
+    }
+    profile = snapshot_profile(conjuncts, profiler);
+    orders.resize(static_cast<std::size_t>(num_ranks));
+    for (int r = 0; r < num_ranks; ++r) {
+      auto& order = orders[static_cast<std::size_t>(r)];
+      if (reorder) {
+        order = order_conjuncts(conjuncts, r, profile);
+      } else {
+        order.resize(conjuncts.size());
+        std::iota(order.begin(), order.end(), 0);
+      }
+    }
+  }
+
+  std::size_t distinct_orders() const {
+    return std::set<std::vector<std::size_t>>(orders.begin(), orders.end())
+        .size();
+  }
+};
 
 /// The whole execution state of one query.
 class QueryExecution {
@@ -121,7 +154,9 @@ class QueryExecution {
     for (const auto& inv : query.invokes) apply_invoke(inv);
 
     gather_and_finish(query);
-    finish_account();
+    // One end stamp for the account's query wall time and the root span.
+    const std::uint64_t wall_end = telemetry::Tracer::wall_now_ns();
+    finish_account(wall_end);
     if (tracer_ != nullptr) {
       tracer_->add_attr(
           root_span_, "rows",
@@ -138,7 +173,7 @@ class QueryExecution {
                         result_.account.peak_solution_bytes);
       tracer_->add_attr(root_span_, "divergence_seconds",
                         result_.account.divergence_seconds());
-      tracer_->end_span(root_span_, last_mark_);
+      tracer_->end_span(root_span_, last_mark_, wall_end);
     }
     if (opts_.query_stats != nullptr) {
       result_.account.sequence = opts_.query_stats->push(result_.account);
@@ -151,6 +186,115 @@ class QueryExecution {
   }
 
  private:
+  // ---- Instrumentation seam ------------------------------------------------
+  // Every span, stage metric and account entry of a query is written by
+  // the two scopes below; operators only open them.
+
+  /// One pipeline stage, from construction to scope exit. Opening starts
+  /// the stage's trace span at the account's own wall stamp. Closing
+  /// synchronizes the rank clocks and records the stage once: one
+  /// StageAccount (modeled `now - last_mark_`, and wall), the span's end
+  /// with the same two stamps, an ids_engine_stage_seconds observation and
+  /// a SolutionTable high-water-mark sample. Operators inside a stage
+  /// leave that closing barrier to it. Open it after any early-return
+  /// guard, so a skipped stage leaves no trace.
+  class Stage {
+   public:
+    Stage(QueryExecution& q, std::string name)
+        : q_(q), name_(std::move(name)) {
+      if (q_.tracer_ != nullptr) {
+        q_.stage_span_ =
+            q_.tracer_->begin_span(name_, "stage", q_.root_span_, -1,
+                                   q_.last_mark_, q_.stage_wall_start_);
+      }
+    }
+    Stage(const Stage&) = delete;
+    Stage& operator=(const Stage&) = delete;
+
+    ~Stage() {
+      const sim::Nanos now = q_.clocks_.barrier();
+      const std::uint64_t wall_now = telemetry::Tracer::wall_now_ns();
+      const double seconds = sim::to_seconds(now - q_.last_mark_);
+      q_.result_.account.stages.push_back(
+          {name_, seconds,
+           static_cast<double>(wall_now - q_.stage_wall_start_) * 1e-9});
+      if (q_.tracer_ != nullptr) {
+        q_.tracer_->end_span(q_.stage_span_, now, wall_now);
+        q_.stage_span_ = telemetry::kNoSpan;
+      }
+      q_.metrics_
+          ->histogram("ids_engine_stage_seconds",
+                      telemetry::latency_seconds_buckets(), {{"stage", name_}})
+          ->observe(seconds);
+      std::uint64_t solution_bytes = 0;
+      for (const auto& t : q_.parts_) {
+        solution_bytes +=
+            static_cast<std::uint64_t>(t.num_rows() * t.row_bytes());
+      }
+      auto& peak = q_.result_.account.peak_solution_bytes;
+      peak = std::max(peak, solution_bytes);
+      q_.stage_wall_start_ = wall_now;
+      q_.last_mark_ = now;
+    }
+
+    /// Attribute on the stage span.
+    template <typename V>
+    void attr(std::string_view key, V value) {
+      if (q_.tracer_ != nullptr) {
+        q_.tracer_->add_attr(q_.stage_span_, key, value);
+      }
+    }
+
+   private:
+    QueryExecution& q_;
+    std::string name_;
+  };
+
+  /// One rank's share of an operator, opened inside a for_each_rank
+  /// lambda: a "rank" span under the current stage on rank r's modeled
+  /// timeline, from the rank clock at construction to the rank clock at
+  /// scope exit. call() opens a child span the same way for one call
+  /// inside the operator (cache get/put, UDF execution). Safe to use from
+  /// concurrent rank lambdas; with tracing off it reads no wall clock and
+  /// takes no lock.
+  class RankOp {
+   public:
+    RankOp(QueryExecution& q, std::string_view name, int r)
+        : RankOp(q, name, "rank", q.stage_span_, r) {}
+    RankOp(const RankOp&) = delete;
+    RankOp& operator=(const RankOp&) = delete;
+
+    ~RankOp() {
+      if (q_.tracer_ != nullptr) q_.tracer_->end_span(span_, clock().now());
+    }
+
+    void attr(std::string_view key, std::uint64_t value) {
+      if (q_.tracer_ != nullptr) q_.tracer_->add_attr(span_, key, value);
+    }
+
+    RankOp call(std::string_view name, std::string_view category) {
+      return RankOp(q_, name, category, span_, r_);
+    }
+
+   private:
+    RankOp(QueryExecution& q, std::string_view name,
+           std::string_view category, telemetry::SpanId parent, int r)
+        : q_(q), r_(r) {
+      if (q_.tracer_ != nullptr) {
+        span_ = q_.tracer_->begin_span(name, category, parent, r,
+                                       clock().now());
+      }
+    }
+
+    const sim::VirtualClock& clock() const {
+      return q_.clocks_.at(static_cast<std::size_t>(r_));
+    }
+
+    QueryExecution& q_;
+    int r_;
+    telemetry::SpanId span_ = telemetry::kNoSpan;
+  };
+
   double speed(int r) const { return opts_.hetero.at(r); }
 
   /// Charges modeled *compute* time, scaled by the rank's speed factor.
@@ -176,72 +320,26 @@ class QueryExecution {
     for (std::size_t r = 0; r < clocks_.size(); ++r) clocks_.at(r).advance(o);
   }
 
-  /// Opens the trace span of the pipeline stage that is starting. Each
-  /// stage ends in mark(), which closes the span at the barrier time.
-  /// Call after any early-return guards, so skipped stages leave no span.
-  void stage_begin(std::string_view name) {
-    if (tracer_ == nullptr) return;
-    stage_span_ = tracer_->begin_span(name, "stage", root_span_, -1,
-                                      last_mark_, stage_wall_start_);
-  }
-
-  /// Ends a pipeline stage: synchronizes clocks and records the stage's
-  /// critical-path duration (as a StageTiming, as the stage trace span's
-  /// modeled range — bit-identical, both are `now - last_mark_` — and as
-  /// an ids_engine_stage_seconds observation).
-  void mark(std::string stage) {
-    sim::Nanos now = clocks_.barrier();
-    double seconds = sim::to_seconds(now - last_mark_);
-    const std::uint64_t wall_now = telemetry::Tracer::wall_now_ns();
-    const double wall_seconds =
-        static_cast<double>(wall_now - stage_wall_start_) * 1e-9;
-    if (tracer_ != nullptr) {
-      if (stage_span_ != telemetry::kNoSpan) {
-        tracer_->end_span(stage_span_, now, wall_now);
-        stage_span_ = telemetry::kNoSpan;
-      } else {
-        // Stage ran without a stage_begin(): record it retroactively so
-        // the trace still covers every StageTiming entry.
-        tracer_->record_span(stage, "stage", root_span_, -1, last_mark_, now,
-                             stage_wall_start_, wall_now);
-      }
-    }
-    stage_wall_start_ = wall_now;
-    metrics_
-        ->histogram("ids_engine_stage_seconds",
-                    telemetry::latency_seconds_buckets(), {{"stage", stage}})
-        ->observe(seconds);
-    // Resource accounting: modeled-vs-wall per stage, and the
-    // SolutionTable high-water mark sampled at every barrier.
-    result_.account.stages.push_back({stage, seconds, wall_seconds});
-    std::uint64_t solution_bytes = 0;
-    for (const auto& t : parts_) {
-      solution_bytes +=
-          static_cast<std::uint64_t>(t.num_rows() * t.row_bytes());
-    }
-    peak_solution_bytes_ = std::max(peak_solution_bytes_, solution_bytes);
-    result_.stages.push_back({std::move(stage), seconds});
-    last_mark_ = now;
-  }
-
   /// Seals result_.account at the end of run(): whole-query times, cache
   /// tier deltas over the query, and the ids_query_* instruments.
-  void finish_account() {
+  /// QueryResult's stage list and cache counters are derived from it.
+  void finish_account(std::uint64_t wall_end) {
     telemetry::QueryResourceAccount& acct = result_.account;
     acct.modeled_seconds = sim::to_seconds(last_mark_);
     acct.wall_seconds =
-        static_cast<double>(telemetry::Tracer::wall_now_ns() -
-                            query_wall_start_) *
-        1e-9;
-    acct.rows_partitioned = rows_partitioned_;
+        static_cast<double>(wall_end - query_wall_start_) * 1e-9;
     acct.udf_invocations = static_cast<std::uint64_t>(result_.rows_invoked);
-    acct.peak_solution_bytes = peak_solution_bytes_;
-    acct.cache_misses = static_cast<std::uint64_t>(result_.cache_misses);
+    result_.stages.reserve(acct.stages.size());
+    for (const auto& st : acct.stages) {
+      result_.stages.push_back({st.stage, st.modeled_seconds});
+    }
     if (opts_.cache != nullptr) {
       const cache::CacheStats d =
           opts_.cache->stats().since(cache_query_baseline_);
       acct.cache_bytes_written = d.bytes_written;
       acct.cache_misses = d.misses;
+      result_.cache_hits = static_cast<std::size_t>(d.total_hits());
+      result_.cache_misses = static_cast<std::size_t>(d.misses);
       auto tier = [&acct](const char* name, std::uint64_t bytes,
                           std::uint64_t hits) {
         if (bytes == 0 && hits == 0) return;  // only tiers that served
@@ -271,23 +369,15 @@ class QueryExecution {
         ->observe(acct.wall_seconds);
   }
 
-  /// Wall-clock sample for a per-rank span start; 0 when tracing is off
-  /// (rank_span is a no-op then, so the value is never read).
-  std::uint64_t rank_wall_start() const {
-    return tracer_ != nullptr ? telemetry::Tracer::wall_now_ns() : 0;
-  }
-
-  /// Records a completed per-rank operator span [v0, rank-clock-now] on
-  /// rank r's timeline, parented to the current stage span. Returns the
-  /// span id so the caller can attach attrs (kNoSpan when tracing is off).
-  /// Thread-safe: rank lambdas call this concurrently.
-  telemetry::SpanId rank_span(std::string_view name, int r, sim::Nanos v0,
-                              std::uint64_t w0) {
-    if (tracer_ == nullptr) return telemetry::kNoSpan;
-    auto ru = static_cast<std::size_t>(r);
-    return tracer_->record_span(name, "rank", stage_span_, r, v0,
-                                clocks_.at(ru).now(), w0,
-                                telemetry::Tracer::wall_now_ns());
+  /// Expression context for rank r over its rows `t`, one per rank: an
+  /// operator's row loop moves only the row cursor and the per-row cost.
+  expr::EvalContext rank_context(int r, const SolutionTable& t) {
+    return {.row = {&t, 0},
+            .registry = registry_,
+            .profiler = profiler_,
+            .udf_ctx = {r, features_, vectors_,
+                        &rank_rngs_[static_cast<std::size_t>(r)]},
+            .speed_factor = speed(r)};
   }
 
   std::size_t total_rows() const {
@@ -332,33 +422,16 @@ class QueryExecution {
       for (std::size_t row = 0; row < n; ++row) dsts[row] = dst_of(table, row);
       partition.assign(dsts, p_);
 
-      auto& ts = traffic[static_cast<std::size_t>(src)];
       for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
         const int dst = partition.dsts()[i];
         const auto rows = partition.rows(i);
         out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
-        if (dst == src) continue;
-        rows_partitioned_ += rows.size();
-        const std::uint64_t bytes = row_bytes * rows.size();
-        auto& td = traffic[static_cast<std::size_t>(dst)];
-        if (opts_.topology.same_node(src, dst)) {
-          ts.intra_sent += bytes;
-          td.intra_recv += bytes;
-        } else {
-          ts.inter_sent += bytes;
-          td.inter_recv += bytes;
-        }
-        ++ts.messages;
+        if (dst != src) send(traffic, src, dst, rows.size(), row_bytes);
       }
       table.clear();
     }
-    for (int r = 0; r < p_; ++r) {
-      runtime::charge_traffic(clocks_.at(static_cast<std::size_t>(r)),
-                              opts_.topology,
-                              traffic[static_cast<std::size_t>(r)]);
-    }
     parts_ = std::move(out);
-    clocks_.barrier();
+    charge_exchange(traffic);
   }
 
   /// Redistributes rows so rank r ends with targets[r] rows, moving as few
@@ -391,23 +464,36 @@ class QueryExecution {
         parts_[static_cast<std::size_t>(dst)].append_row_range_from(
             table, n - take, n);
         table.truncate(n - take);
-        rows_partitioned_ += take;
-
-        std::uint64_t bytes = row_bytes * take;
-        auto& ts = traffic[static_cast<std::size_t>(src)];
-        auto& td = traffic[static_cast<std::size_t>(dst)];
-        ++ts.messages;
-        if (opts_.topology.same_node(src, dst)) {
-          ts.intra_sent += bytes;
-          td.intra_recv += bytes;
-        } else {
-          ts.inter_sent += bytes;
-          td.inter_recv += bytes;
-        }
+        send(traffic, src, dst, take, row_bytes);
         deficits[d].need -= take;
         if (deficits[d].need == 0) ++d;
       }
     }
+    charge_exchange(traffic);
+  }
+
+  /// Books one src -> dst message of `rows` rows into an alltoallv's
+  /// per-rank traffic (intra- or inter-node by topology). Exchanges run
+  /// serially on the engine thread, so the account needs no lock.
+  void send(std::vector<runtime::TrafficSummary>& traffic, int src, int dst,
+            std::size_t rows, std::size_t row_bytes) {
+    result_.account.rows_partitioned += rows;
+    const std::uint64_t bytes = row_bytes * rows;
+    auto& ts = traffic[static_cast<std::size_t>(src)];
+    auto& td = traffic[static_cast<std::size_t>(dst)];
+    ++ts.messages;
+    if (opts_.topology.same_node(src, dst)) {
+      ts.intra_sent += bytes;
+      td.intra_recv += bytes;
+    } else {
+      ts.inter_sent += bytes;
+      td.inter_recv += bytes;
+    }
+  }
+
+  /// Charges an alltoallv's traffic with the alpha-beta fabric model and
+  /// synchronizes clocks.
+  void charge_exchange(const std::vector<runtime::TrafficSummary>& traffic) {
     for (int r = 0; r < p_; ++r) {
       runtime::charge_traffic(clocks_.at(static_cast<std::size_t>(r)),
                               opts_.topology,
@@ -419,33 +505,45 @@ class QueryExecution {
   // ---- Graph pattern operators --------------------------------------------
 
   void apply_pattern(const TriplePattern& pat, bool first) {
-    if (first || !has_schema()) {
-      stage_begin("scan");
+    const bool scan = first || !has_schema();
+    Stage stage(*this, scan ? "scan" : "join");
+    if (scan) {
       scan_first(pat);
-      mark("scan");
-      return;
-    }
-    stage_begin("join");
-    if (pat.s.is_var && schema_has_var(pat.s.var)) {
+    } else if (pat.s.is_var && schema_has_var(pat.s.var)) {
       extend_subject_bound(pat);
-      mark("join");
-      return;
-    }
-    // Shared non-subject variable -> hash join; none -> cartesian.
-    bool shared = false;
-    for (const auto& v : pattern_vars(pat)) {
-      if (schema_has_var(v)) {
-        shared = true;
-        break;
-      }
-    }
-    if (shared) {
-      hash_join(pat);
+    } else if (const std::string v = first_bound_var(pat); !v.empty()) {
+      // Shared non-subject variable -> hash join; none -> cartesian.
+      hash_join(pat, v);
     } else {
       IDS_WARN << "cartesian join for pattern with no shared variable";
       cartesian_join(pat);
     }
-    mark("join");
+  }
+
+  /// First variable of `pat` (s, p, o order) the schema binds; "" if none.
+  std::string first_bound_var(const TriplePattern& pat) const {
+    for (auto& v : pattern_vars(pat)) {
+      if (schema_has_var(v)) return v;
+    }
+    return "";
+  }
+
+  /// Variables of `pat` the solution schema does not bind yet, in s, p, o
+  /// order: the columns a join appends.
+  std::vector<std::string> unbound_vars(const TriplePattern& pat) const {
+    std::vector<std::string> vars;
+    for (auto& v : pattern_vars(pat)) {
+      if (!schema_has_var(v)) vars.push_back(std::move(v));
+    }
+    return vars;
+  }
+
+  /// Empty table with the current schema followed by `new_vars`.
+  SolutionTable extended_prototype(
+      const std::vector<std::string>& new_vars) const {
+    std::vector<std::string> schema = parts_[0].id_vars();
+    schema.insert(schema.end(), new_vars.begin(), new_vars.end());
+    return SolutionTable{schema, parts_[0].num_vars()};
   }
 
   /// Triple position (0 = s, 1 = p, 2 = o) where `var` first occurs in
@@ -488,16 +586,11 @@ class QueryExecution {
     SolutionTable prototype{pattern_vars(pat)};
     init_parts(prototype);
     runtime::for_each_rank(p_, "rank.scan", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "scan", r);
       std::size_t matches =
           scan_pattern_into(r, pat, &parts_[static_cast<std::size_t>(r)]);
       charge_graph_op(r, opts_.costs.triple_scan_cost(matches + 64));
-      telemetry::SpanId span = rank_span("scan", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "matches",
-                          static_cast<std::uint64_t>(matches));
-      }
+      op.attr("matches", matches);
     });
   }
 
@@ -510,17 +603,8 @@ class QueryExecution {
       return triples_->shard_of_subject(t.id_at(row, svar));
     });
 
-    // New schema: old id vars + pattern vars not yet bound.
-    std::vector<std::string> new_vars;
-    {
-      std::vector<std::string> pv = pattern_vars(pat);
-      for (const auto& v : pv) {
-        if (!schema_has_var(v)) new_vars.push_back(v);
-      }
-    }
-    std::vector<std::string> schema = parts_[0].id_vars();
-    schema.insert(schema.end(), new_vars.begin(), new_vars.end());
-    SolutionTable prototype{schema, parts_[0].num_vars()};
+    const std::vector<std::string> new_vars = unbound_vars(pat);
+    const SolutionTable prototype = extended_prototype(new_vars);
     const std::size_t old_ids = parts_[0].id_vars().size();
 
     // Hoisted per-row binding plan: the solution column feeding each
@@ -538,8 +622,7 @@ class QueryExecution {
                                    prototype.empty_like());
     runtime::for_each_rank(p_, "rank.join_extend", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "join:extend", r);
       const auto& in = parts_[ru];
       auto& dst = out[ru];
 
@@ -579,42 +662,23 @@ class QueryExecution {
       // columns in one pass per column.
       dst.append_prefix_from(in, src_rows);
       charge_graph_op(r, opts_.costs.triple_scan_cost(scanned + 64));
-      telemetry::SpanId span = rank_span("join:extend", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "scanned",
-                          static_cast<std::uint64_t>(scanned));
-      }
+      op.attr("scanned", scanned);
     });
     parts_ = std::move(out);
-    clocks_.barrier();
   }
 
-  void hash_join(const TriplePattern& pat) {
+  /// Hash join on `join_var`, the first pattern variable the schema binds.
+  void hash_join(const TriplePattern& pat, const std::string& join_var) {
     charge_operator_overhead();
-    // Join variable: the first pattern var present in the schema.
-    std::string join_var;
-    for (const auto& v : pattern_vars(pat)) {
-      if (schema_has_var(v)) {
-        join_var = v;
-        break;
-      }
-    }
-    IDS_CHECK(!join_var.empty());
-
     // Build side: local pattern matches on every rank.
     std::vector<SolutionTable> build(static_cast<std::size_t>(p_),
                                      SolutionTable{pattern_vars(pat)});
     runtime::for_each_rank(p_, "rank.join_build", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "join:build", r);
       std::size_t matches =
           scan_pattern_into(r, pat, &build[static_cast<std::size_t>(r)]);
       charge_graph_op(r, opts_.costs.triple_scan_cost(matches + 64));
-      telemetry::SpanId span = rank_span("join:build", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "matches",
-                          static_cast<std::uint64_t>(matches));
-      }
+      op.attr("matches", matches);
     });
 
     // Shuffle both sides by the join key.
@@ -657,15 +721,9 @@ class QueryExecution {
     }
 
     // Output schema: probe vars + new pattern vars.
-    std::vector<std::string> new_vars;
-    for (const auto& v : pattern_vars(pat)) {
-      if (!schema_has_var(v)) new_vars.push_back(v);
-    }
-    std::vector<std::string> schema = parts_[0].id_vars();
-    schema.insert(schema.end(), new_vars.begin(), new_vars.end());
-    SolutionTable prototype{schema, parts_[0].num_vars()};
+    const std::vector<std::string> new_vars = unbound_vars(pat);
     std::vector<SolutionTable> out(static_cast<std::size_t>(p_),
-                                   prototype.empty_like());
+                                   extended_prototype(new_vars));
 
     // Shared pattern vars beyond the join key must match too.
     std::vector<std::string> check_vars;
@@ -675,8 +733,7 @@ class QueryExecution {
 
     runtime::for_each_rank(p_, "rank.join_probe", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "join:probe", r);
       const auto& bt = build[ru];
       const auto& probe = parts_[ru];
       auto& dst = out[ru];
@@ -741,14 +798,9 @@ class QueryExecution {
       dst.append_prefix_from(probe, src_rows);
       charge_graph_op(r, opts_.costs.join_cost(bt.num_rows() +
                                                probe.num_rows() + produced));
-      telemetry::SpanId span = rank_span("join:probe", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "produced",
-                          static_cast<std::uint64_t>(produced));
-      }
+      op.attr("produced", produced);
     });
     parts_ = std::move(out);
-    clocks_.barrier();
   }
 
   void cartesian_join(const TriplePattern& pat) {
@@ -759,15 +811,11 @@ class QueryExecution {
     runtime::charge_tree_collective(clocks_, opts_.topology,
                                     matches.num_rows() * matches.row_bytes());
 
-    std::vector<std::string> schema = parts_[0].id_vars();
-    for (const auto& v : matches.id_vars()) schema.push_back(v);
-    SolutionTable prototype{schema, parts_[0].num_vars()};
     std::vector<SolutionTable> out(static_cast<std::size_t>(p_),
-                                   prototype.empty_like());
+                                   extended_prototype(matches.id_vars()));
     runtime::for_each_rank(p_, "rank.join_cartesian", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "join:cartesian", r);
       const auto& in = parts_[ru];
       auto& dst = out[ru];
       const std::size_t n = in.num_rows();
@@ -801,14 +849,9 @@ class QueryExecution {
         }
       }
       charge_graph_op(r, opts_.costs.join_cost(n * m));
-      telemetry::SpanId span = rank_span("join:cartesian", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "produced",
-                          static_cast<std::uint64_t>(n * m));
-      }
+      op.attr("produced", n * m);
     });
     parts_ = std::move(out);
-    clocks_.barrier();
   }
 
   // ---- Keyword / vector operators ----------------------------------------
@@ -818,7 +861,7 @@ class QueryExecution {
       IDS_WARN << "keyword clause with no inverted index; skipping";
       return;
     }
-    stage_begin("keyword");
+    Stage stage(*this, "keyword");
     std::vector<TermId> hits = kc.conjunctive
                                    ? keywords_->search_and(kc.tokens)
                                    : keywords_->search_or(kc.tokens);
@@ -830,7 +873,6 @@ class QueryExecution {
                             posting_work / static_cast<std::size_t>(p_) + 16));
     }
     semi_join(kc.var, hits);
-    mark("keyword");
   }
 
   void apply_vector(const VectorClause& vc) {
@@ -838,15 +880,14 @@ class QueryExecution {
       IDS_WARN << "vector clause with no vector store; skipping";
       return;
     }
-    stage_begin("vector");
+    Stage stage(*this, "vector");
     // Per-shard top-k (exact scan, or IVF probing when the clause asks
     // for approximate search), then a global merge (allgather of k hits).
     std::vector<std::vector<store::VectorHit>> shard_hits(
         static_cast<std::size_t>(p_));
     runtime::for_each_rank(p_, "rank.vector", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "vector:topk", r);
       if (vc.ivf_nprobe > 0) {
         store::IvfIndex::Params params;
         params.num_clusters = vc.ivf_clusters;
@@ -859,11 +900,7 @@ class QueryExecution {
         charge_compute(
             r, opts_.costs.vector_scan_cost(vectors_->scan_work_units(r)));
       }
-      telemetry::SpanId span = rank_span("vector:topk", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "hits",
-                          static_cast<std::uint64_t>(shard_hits[ru].size()));
-      }
+      op.attr("hits", shard_hits[ru].size());
     });
     runtime::charge_tree_collective(
         clocks_, opts_.topology,
@@ -882,7 +919,6 @@ class QueryExecution {
     for (const auto& h : all) hits.push_back(h.id);
     std::sort(hits.begin(), hits.end());
     semi_join(vc.var, hits);
-    mark("vector");
   }
 
   /// Restricts `var` to the sorted id set, or seeds solutions from the set
@@ -903,8 +939,7 @@ class QueryExecution {
       return;
     }
     runtime::for_each_rank(p_, "rank.semi_join", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "semi_join", r);
       auto& t = parts_[static_cast<std::size_t>(r)];
       const auto& col = t.id_col(idx);
       std::vector<char> keep(col.size(), 0);
@@ -913,17 +948,10 @@ class QueryExecution {
             std::binary_search(ids.begin(), ids.end(), col[row]) ? 1 : 0;
       }
       charge_graph_op(r, opts_.costs.join_cost(t.num_rows()));
-      std::size_t rows_in = t.num_rows();
+      op.attr("rows_in", t.num_rows());
       t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("semi_join", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      op.attr("rows_kept", t.num_rows());
     });
-    clocks_.barrier();
   }
 
   // ---- FILTER stage --------------------------------------------------------
@@ -931,44 +959,21 @@ class QueryExecution {
   void apply_filters(const Query& query) {
     if (query.filters.empty() || !has_schema()) return;
 
-    std::vector<expr::Conjunct> conjuncts;
-    for (const auto& f : query.filters) {
-      auto flat = expr::flatten_conjuncts(f);
-      conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
-    }
-
     // Planning runs inside the first stage it feeds, so its wall time is
     // both in that stage's account entry and inside its trace span.
-    const bool rebalance = opts_.rebalance != RebalancePolicy::kNone;
-    stage_begin(rebalance ? "rebalance" : "filter");
-
-    // Per-rank conjunct orders (§2.4.3: per-rank reordering), all planned
-    // from one snapshot of the profile.
-    const udf::ProfileSnapshot profile =
-        snapshot_profile(conjuncts, *profiler_);
-    std::vector<std::vector<std::size_t>> orders(
-        static_cast<std::size_t>(p_));
-    for (int r = 0; r < p_; ++r) {
-      if (opts_.reorder_filters) {
-        orders[static_cast<std::size_t>(r)] =
-            order_conjuncts(conjuncts, r, profile);
-      } else {
-        orders[static_cast<std::size_t>(r)].resize(conjuncts.size());
-        std::iota(orders[static_cast<std::size_t>(r)].begin(),
-                  orders[static_cast<std::size_t>(r)].end(), 0);
-      }
-    }
-
-    // Solution re-balancing (§2.4.2) driven by per-rank single-solution
-    // time estimates.
-    if (rebalance) {
+    std::optional<FilterPlan> plan;
+    if (opts_.rebalance != RebalancePolicy::kNone) {
+      Stage stage(*this, "rebalance");
+      plan.emplace(query.filters, *profiler_, p_, opts_.reorder_filters);
+      // Solution re-balancing (§2.4.2) driven by per-rank single-solution
+      // time estimates.
       std::vector<std::size_t> counts(static_cast<std::size_t>(p_));
       std::vector<double> throughput(static_cast<std::size_t>(p_), 0.0);
       for (int r = 0; r < p_; ++r) {
         auto ru = static_cast<std::size_t>(r);
         counts[ru] = parts_[ru].num_rows();
-        double est =
-            estimate_solution_seconds(conjuncts, orders[ru], r, profile);
+        double est = estimate_solution_seconds(
+            plan->conjuncts, plan->orders[ru], r, plan->profile);
         if (est > 0.0) throughput[ru] = 1.0 / est;
       }
       // Ranks exchange their estimates (one small allreduce).
@@ -984,22 +989,21 @@ class QueryExecution {
                                                            : "count"}})
             ->inc();
       }
-      if (tracer_ != nullptr) {
-        tracer_->add_attr(stage_span_, "policy",
-                          std::string_view(opts_.rebalance ==
-                                                   RebalancePolicy::kThroughput
-                                               ? "throughput"
-                                               : "count"));
-        tracer_->add_attr(stage_span_, "triggered",
-                          static_cast<std::uint64_t>(decision.rebalance));
-        tracer_->add_attr(
-            stage_span_, "throughput_based",
-            static_cast<std::uint64_t>(decision.used_throughput));
-        tracer_->add_attr(stage_span_, "speed_ratio", decision.speed_ratio);
-      }
-      mark("rebalance");
-      stage_begin("filter");
+      stage.attr("policy", std::string_view(opts_.rebalance ==
+                                                    RebalancePolicy::kThroughput
+                                                ? "throughput"
+                                                : "count"));
+      stage.attr("triggered", static_cast<std::uint64_t>(decision.rebalance));
+      stage.attr("throughput_based",
+                 static_cast<std::uint64_t>(decision.used_throughput));
+      stage.attr("speed_ratio", decision.speed_ratio);
     }
+    Stage stage(*this, "filter");
+    if (!plan) {
+      plan.emplace(query.filters, *profiler_, p_, opts_.reorder_filters);
+    }
+    const std::vector<expr::Conjunct>& conjuncts = plan->conjuncts;
+    const std::vector<std::vector<std::size_t>>& orders = plan->orders;
 
     // Per-conjunct logical-call multipliers: a conjunct's evaluations are
     // charged as `row_multiplier` logical evaluations unless one of its
@@ -1015,39 +1019,27 @@ class QueryExecution {
       }
     }
 
+    stage.attr("reorder",
+               std::string_view(opts_.reorder_filters ? "on" : "off"));
+    stage.attr("distinct_orders",
+               static_cast<std::uint64_t>(plan->distinct_orders()));
+    std::string rank0;
+    for (std::size_t ci : orders[0]) {
+      if (!rank0.empty()) rank0 += ',';
+      rank0 += std::to_string(ci);
+    }
+    stage.attr("rank0_order", std::string_view(rank0));
     // Evaluate the chain; the first falsy conjunct rejects the row and is
     // attributed to its last UDF (the rejection statistic of the paper's
     // profiling section).
-    if (tracer_ != nullptr) {
-      tracer_->add_attr(stage_span_, "reorder",
-                        std::string_view(opts_.reorder_filters ? "on"
-                                                               : "off"));
-      std::set<std::vector<std::size_t>> distinct(orders.begin(),
-                                                  orders.end());
-      tracer_->add_attr(stage_span_, "distinct_orders",
-                        static_cast<std::uint64_t>(distinct.size()));
-      std::string rank0;
-      for (std::size_t ci : orders[0]) {
-        if (!rank0.empty()) rank0 += ',';
-        rank0 += std::to_string(ci);
-      }
-      tracer_->add_attr(stage_span_, "rank0_order", rank0);
-    }
     charge_operator_overhead();
     runtime::for_each_rank(p_, "rank.filter", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "filter", r);
       auto& t = parts_[ru];
       std::vector<char> keep(t.num_rows(), 1);
       double rank_cost = 0.0;  // nanoseconds, multiplier-weighted
-      // One context per rank; only the row cursor moves in the loop.
-      expr::EvalContext ctx;
-      ctx.row = {&t, 0};
-      ctx.registry = registry_;
-      ctx.profiler = profiler_;
-      ctx.udf_ctx = {r, features_, vectors_, &rank_rngs_[ru]};
-      ctx.speed_factor = speed(r);
+      expr::EvalContext ctx = rank_context(r, t);
       for (std::size_t row = 0; row < t.num_rows(); ++row) {
         ctx.row.row = row;
         ctx.cost = 0;
@@ -1066,38 +1058,30 @@ class QueryExecution {
         }
       }
       clocks_.at(ru).advance(static_cast<sim::Nanos>(rank_cost));
-      std::size_t rows_in = t.num_rows();
+      op.attr("rows_in", t.num_rows());
       t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("filter", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      op.attr("rows_kept", t.num_rows());
     });
-    mark("filter");
   }
 
   // ---- DISTINCT / INVOKE ---------------------------------------------------
 
   void apply_distinct(const std::string& var) {
     if (!has_schema()) return;
-    charge_operator_overhead();
     int idx = parts_[0].id_var_index(var);
     if (idx < 0) {
       IDS_WARN << "distinct variable ?" << var << " not bound; skipping";
       return;
     }
-    stage_begin("distinct");
+    Stage stage(*this, "distinct");
+    charge_operator_overhead();
     // Co-locate equal values, then keep the first row of each value.
     shuffle_rows([this, idx](const SolutionTable& t, std::size_t row) {
       return static_cast<int>(mix64(t.id_at(row, idx)) %
                               static_cast<std::uint64_t>(p_));
     });
     runtime::for_each_rank(p_, "rank.distinct", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+      RankOp op(*this, "distinct", r);
       auto& t = parts_[static_cast<std::size_t>(r)];
       const auto& col = t.id_col(idx);
       FlatTermSet seen(col.size());
@@ -1106,21 +1090,14 @@ class QueryExecution {
         keep[row] = seen.insert(col[row]) ? 1 : 0;
       }
       charge_graph_op(r, opts_.costs.join_cost(t.num_rows()));
-      std::size_t rows_in = t.num_rows();
+      op.attr("rows_in", t.num_rows());
       t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("distinct", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      op.attr("rows_kept", t.num_rows());
     });
     // Spread the survivors evenly: the upcoming INVOKE is expensive and
     // hash placement can clump a small distinct set onto few ranks ("IDS
     // commonly re-balances solutions across ranks between operations").
     redistribute_to_targets(count_based_targets(total_rows(), p_));
-    mark("distinct");
   }
 
   /// Cache payloads store the scalar result first so the engine can parse
@@ -1165,11 +1142,10 @@ class QueryExecution {
     }
     for (auto& t : parts_) t.add_num_var(inv.out_var);
     const bool cached = inv.use_cache && opts_.cache != nullptr;
-    stage_begin("invoke:" + inv.udf);
+    Stage stage(*this, "invoke:" + inv.udf);
 
-    // Hits and misses are derived from the cache's own telemetry counters
-    // (delta over this stage) — the exact numbers the Prometheus export
-    // reports — instead of a parallel set of hand-maintained atomics.
+    // The serialization floor below counts this stage's cache operations
+    // from the cache's own telemetry counters (delta over this stage).
     cache::CacheStats cache_before;
     if (cached) cache_before = opts_.cache->stats();
 
@@ -1177,21 +1153,11 @@ class QueryExecution {
 
     runtime::for_each_rank(p_, "rank.invoke", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
-      telemetry::SpanId span =
-          tracer_ == nullptr
-              ? telemetry::kNoSpan
-              : tracer_->begin_span("invoke", "rank", stage_span_, r,
-                                    clocks_.at(ru).now());
+      RankOp op(*this, "invoke", r);
       auto& t = parts_[ru];
       int out_col = t.num_var_index(inv.out_var);
-      // One context and one argument buffer per rank; the row cursor and
-      // per-row cost are reset in the loop.
-      expr::EvalContext ctx;
-      ctx.row = {&t, 0};
-      ctx.registry = registry_;
-      ctx.profiler = profiler_;
-      ctx.udf_ctx = {r, features_, vectors_, &rank_rngs_[ru]};
-      ctx.speed_factor = speed(r);
+      // One argument buffer per rank, cleared per row.
+      expr::EvalContext ctx = rank_context(r, t);
       std::vector<expr::Value> args;
       args.reserve(inv.args.size());
       for (std::size_t row = 0; row < t.num_rows(); ++row) {
@@ -1213,17 +1179,10 @@ class QueryExecution {
         std::string key;
         if (cached) {
           key = render_cache_key(inv, args);
-          sim::Nanos gv0 = clocks_.at(ru).now();
-          std::uint64_t gw0 = rank_wall_start();
+          RankOp get = op.call("cache.get", "cache");
           auto payload = opts_.cache->get(clocks_.at(ru),
                                           cache_node_of_rank(r), key);
-          if (span != telemetry::kNoSpan) {
-            telemetry::SpanId call = tracer_->record_span(
-                "cache.get", "cache", span, r, gv0, clocks_.at(ru).now(),
-                gw0, telemetry::Tracer::wall_now_ns());
-            tracer_->add_attr(call, "hit",
-                              static_cast<std::uint64_t>(payload ? 1 : 0));
-          }
+          get.attr("hit", payload ? 1 : 0);
           if (payload) {
             value = std::strtod(payload->c_str(), nullptr);
             have = true;
@@ -1232,8 +1191,7 @@ class QueryExecution {
         if (!have) {
           // Execute the model (a cache miss falls back to re-running the
           // simulation, the paper's "last resort on a total miss").
-          sim::Nanos xv0 = clocks_.at(ru).now();
-          std::uint64_t xw0 = rank_wall_start();
+          RankOp exec = op.call(info->name, "udf");
           ctx.cost += registry_->charge_module_load(r, *info);
           const udf::UdfResult res = [&] {
             // Attribute model execution to the UDF by name; UdfInfo
@@ -1253,39 +1211,16 @@ class QueryExecution {
           invoked.fetch_add(1, std::memory_order_relaxed);
           clocks_.at(ru).advance(ctx.cost);
           ctx.cost = 0;
-          if (span != telemetry::kNoSpan) {
-            tracer_->record_span(info->name, "udf", span, r, xv0,
-                                 clocks_.at(ru).now(), xw0,
-                                 telemetry::Tracer::wall_now_ns());
-          }
-          if (cached) {
-            sim::Nanos pv0 = clocks_.at(ru).now();
-            std::uint64_t pw0 = rank_wall_start();
-            opts_.cache->put(clocks_.at(ru), cache_node_of_rank(r), key,
-                             make_payload(value, inv.cached_payload_bytes));
-            if (span != telemetry::kNoSpan) {
-              tracer_->record_span("cache.put", "cache", span, r, pv0,
-                                   clocks_.at(ru).now(), pw0,
-                                   telemetry::Tracer::wall_now_ns());
-            }
-          }
+        }
+        if (!have && cached) {
+          RankOp put = op.call("cache.put", "cache");
+          opts_.cache->put(clocks_.at(ru), cache_node_of_rank(r), key,
+                           make_payload(value, inv.cached_payload_bytes));
         }
         t.set_num(row, out_col, value);
         clocks_.at(ru).advance(ctx.cost);
       }
-      if (tracer_ != nullptr) {
-        tracer_->end_span(span, clocks_.at(ru).now());
-      }
     });
-    std::size_t stage_hits = 0;
-    std::size_t stage_misses = 0;
-    if (cached) {
-      cache::CacheStats delta = opts_.cache->stats().since(cache_before);
-      stage_hits = static_cast<std::size_t>(delta.total_hits());
-      stage_misses = static_cast<std::size_t>(delta.misses);
-    }
-    result_.cache_hits += stage_hits;
-    result_.cache_misses += stage_misses;
     result_.rows_invoked += invoked.load();
 
     // Shared-server queueing of the cache's (de)serialization service: a
@@ -1296,7 +1231,9 @@ class QueryExecution {
     if (cached) {
       double service = opts_.cache->config().serialization_service_seconds;
       if (service > 0.0) {
-        std::uint64_t ops = stage_hits + stage_misses;  // get hit or put
+        const cache::CacheStats delta =
+            opts_.cache->stats().since(cache_before);
+        std::uint64_t ops = delta.total_hits() + delta.misses;  // hit or put
         sim::Nanos floor =
             last_mark_ +
             sim::from_seconds(service * static_cast<double>(ops));
@@ -1305,24 +1242,24 @@ class QueryExecution {
         }
       }
     }
-    mark("invoke:" + inv.udf);
   }
 
   // ---- Final gather --------------------------------------------------------
 
   void gather_and_finish(const Query& query) {
-    stage_begin("gather");
     SolutionTable merged =
         has_schema() ? parts_[0].empty_like() : SolutionTable{};
-    std::size_t total_bytes = 0;
-    for (const auto& t : parts_) {
-      merged.append_table(t);
-      total_bytes += t.num_rows() * t.row_bytes();
+    {
+      Stage stage(*this, "gather");
+      std::size_t total_bytes = 0;
+      for (const auto& t : parts_) {
+        merged.append_table(t);
+        total_bytes += t.num_rows() * t.row_bytes();
+      }
+      runtime::charge_tree_collective(clocks_, opts_.topology, total_bytes);
+      result_.account.rows_gathered =
+          static_cast<std::uint64_t>(merged.num_rows());
     }
-    runtime::charge_tree_collective(clocks_, opts_.topology, total_bytes);
-    result_.account.rows_gathered =
-        static_cast<std::uint64_t>(merged.num_rows());
-    mark("gather");
 
     // ORDER BY a numeric column.
     if (!query.order_by.empty()) {
@@ -1388,15 +1325,10 @@ class QueryExecution {
   QueryResult result_;
   sim::Nanos last_mark_ = 0;
 
-  // Per-query resource accounting (ISSUE 9). rows_partitioned_ is only
-  // mutated from the serial exchange loops (shuffle_rows /
-  // redistribute_to_targets run on the engine thread), so it needs no
-  // synchronization.
+  // Per-query resource accounting baselines.
   std::uint64_t query_wall_start_ = 0;
   std::size_t trace_base_ = 0;  // tracer_->size() at run() start
   cache::CacheStats cache_query_baseline_;
-  std::uint64_t rows_partitioned_ = 0;
-  std::uint64_t peak_solution_bytes_ = 0;
 };
 
 }  // namespace
@@ -1466,38 +1398,24 @@ std::string IdsEngine::explain(const Query& query) const {
   }
 
   if (!query.filters.empty()) {
-    std::vector<expr::Conjunct> conjuncts;
-    for (const auto& f : query.filters) {
-      auto flat = expr::flatten_conjuncts(f);
-      conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
-    }
-    const udf::ProfileSnapshot profile =
-        snapshot_profile(conjuncts, profiler_);
-    auto rank0 = options_.reorder_filters
-                     ? order_conjuncts(conjuncts, 0, profile)
-                     : [&] {
-                         std::vector<std::size_t> v(conjuncts.size());
-                         std::iota(v.begin(), v.end(), 0);
-                         return v;
-                       }();
+    const FilterPlan plan(query.filters, profiler_,
+                          options_.topology.num_ranks(),
+                          options_.reorder_filters);
     out += "  filter chain (rank 0 order";
     // How many distinct per-rank orders would the planner emit?
     if (options_.reorder_filters) {
-      std::set<std::vector<std::size_t>> distinct;
-      for (int r = 0; r < options_.topology.num_ranks(); ++r) {
-        distinct.insert(order_conjuncts(conjuncts, r, profile));
-      }
-      out += ", " + std::to_string(distinct.size()) +
+      out += ", " + std::to_string(plan.distinct_orders()) +
              " distinct order(s) across ranks";
     } else {
       out += ", reordering off";
     }
     out += "):\n";
-    for (std::size_t ci : rank0) {
-      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profile);
+    for (std::size_t ci : plan.orders[0]) {
+      const expr::Conjunct& conjunct = plan.conjuncts[ci];
+      ConjunctEstimate est = estimate_conjunct(conjunct, 0, plan.profile);
       std::snprintf(buf, sizeof(buf),
                     "    %-48s est_cost=%.4gs reject_rate=%.2f\n",
-                    conjuncts[ci].expr->to_string().c_str(), est.cost_seconds,
+                    conjunct.expr->to_string().c_str(), est.cost_seconds,
                     est.rejection_rate);
       out += buf;
     }

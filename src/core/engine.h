@@ -87,13 +87,13 @@ struct StageTiming {
 struct QueryResult {
   graph::SolutionTable solutions;  // gathered, ordered, limited, projected
   double total_seconds = 0.0;
-  std::vector<StageTiming> stages;
+  std::vector<StageTiming> stages;  // derived from account.stages
 
   std::size_t rows_after_patterns = 0;
   std::size_t rows_after_filters = 0;
   std::size_t rows_invoked = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
+  std::size_t cache_hits = 0;    // derived from the query's cache counter
+  std::size_t cache_misses = 0;  // delta, like account.tiers
   bool used_throughput_rebalance = false;
 
   /// Per-query resource accounting (ISSUE 9): cache bytes by serving

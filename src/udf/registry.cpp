@@ -24,7 +24,8 @@ bool UdfRegistry::register_static(std::string name, UdfFn fn) {
   info.name = name;
   info.fn = std::move(fn);
   info.dynamic = false;
-  udfs_.emplace(std::move(name), std::move(info));
+  udfs_[std::move(name)].push_back(
+      std::make_unique<UdfInfo>(std::move(info)));
   registered_counter("static")->inc();
   return true;
 }
@@ -39,7 +40,8 @@ void UdfRegistry::register_dynamic(std::string module, std::string method,
   info.fn = std::move(fn);
   info.dynamic = true;
   info.module_load_cost = load_cost;
-  udfs_[std::move(name)] = std::move(info);
+  udfs_[std::move(name)].push_back(
+      std::make_unique<UdfInfo>(std::move(info)));
   registered_counter("dynamic")->inc();
 }
 
@@ -47,7 +49,7 @@ const UdfInfo* UdfRegistry::find(std::string_view name) const {
   MutexLock lock(mutex_);
   auto it = udfs_.find(std::string(name));
   if (it == udfs_.end()) return nullptr;
-  return &it->second;
+  return it->second.back().get();
 }
 
 sim::Nanos UdfRegistry::charge_module_load(int rank, const UdfInfo& info) {
@@ -81,7 +83,7 @@ std::vector<std::string> UdfRegistry::names() const {
   MutexLock lock(mutex_);
   std::vector<std::string> out;
   out.reserve(udfs_.size());
-  for (const auto& [name, info] : udfs_) out.push_back(name);
+  for (const auto& [name, versions] : udfs_) out.push_back(name);
   std::sort(out.begin(), out.end());
   return out;
 }

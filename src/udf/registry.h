@@ -73,9 +73,10 @@ class UdfRegistry {
   void register_dynamic(std::string module, std::string method, UdfFn fn,
                         sim::Nanos load_cost) IDS_EXCLUDES(mutex_);
 
-  /// Looks up a UDF by its qualified name. nullptr if absent. The pointer
-  /// stays valid until the same dynamic name is re-registered (static UDFs
-  /// are immutable once registered; map nodes are stable across rehash).
+  /// Looks up a UDF by its qualified name. nullptr if absent. The pointee
+  /// is never modified and stays valid for the registry's lifetime:
+  /// re-registering a dynamic name publishes a new UdfInfo, and a caller
+  /// holding the old one (e.g. a running query) keeps using it.
   const UdfInfo* find(std::string_view name) const IDS_EXCLUDES(mutex_);
 
   /// Returns the modeled cost this rank must pay before calling `info`
@@ -92,7 +93,10 @@ class UdfRegistry {
 
  private:
   mutable Mutex mutex_;
-  std::unordered_map<std::string, UdfInfo> udfs_ IDS_GUARDED_BY(mutex_);
+  // Every registered version of each UDF, newest last; entries are never
+  // modified after insertion (see find()).
+  std::unordered_map<std::string, std::vector<std::unique_ptr<UdfInfo>>> udfs_
+      IDS_GUARDED_BY(mutex_);
   // (rank, module) pairs whose import cost has been charged.
   std::set<std::pair<int, std::string>> loaded_ IDS_GUARDED_BY(mutex_);
 };

@@ -203,10 +203,10 @@ check "certify flags namespace-scope globals" 1 \
       --certify=concurrent-exec "$fixtures/shared_state/bad.cpp"
 check "shared-state is certify-only" 0 'ids-analyzer: OK' \
       "$fixtures/shared_state/bad.cpp"
-check "certify accepts guarded/atomic/waived engine" 0 'certificate OK' \
-      --certify=concurrent-exec "$fixtures/shared_state/good.cpp"
-check "certify inventory carries the waiver reason" 0 \
-      'fixture_scratch_reuse' \
+check "certify flags a reused scratch member" 1 \
+      "member 'IdsEngine::scratch_'" \
+      --certify=concurrent-exec "$fixtures/shared_state/bad.cpp"
+check "certify accepts guarded/atomic engine" 0 'certificate OK' \
       --certify=concurrent-exec "$fixtures/shared_state/good.cpp"
 check "certify without engine root is an error" 2 \
       'found no IdsEngine::execute' \

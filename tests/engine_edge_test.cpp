@@ -8,6 +8,7 @@
 #include <atomic>
 
 #include "core/engine.h"
+#include "telemetry/trace.h"
 
 namespace ids::core {
 namespace {
@@ -107,6 +108,53 @@ TEST_F(EdgeFixture, CartesianJoinWhenNoSharedVariable) {
   q.patterns.push_back({PatternTerm::Var("y"), term("type"), term("Doc")});
   QueryResult r = eng.execute(q);
   EXPECT_EQ(r.solutions.num_rows(), 2u * 8u);  // full cross product
+}
+
+// A clause the engine skips leaves no trace: an unbound DISTINCT variable
+// charges no operator overhead to a later stage, and a KEYWORD or VECTOR
+// clause with no index behind it records no stage and no stage span.
+TEST_F(EdgeFixture, SkippedClausesChargeNothingAndRecordNoStage) {
+  EngineOptions opts;
+  opts.costs.operator_overhead_seconds = 1.0;
+  IdsEngine eng = make_engine(opts);
+  Query q;
+  q.patterns.push_back({PatternTerm::Var("d"), term("type"), term("Doc")});
+  Query unbound_distinct = q;
+  unbound_distinct.distinct_var = "nope";
+  const QueryResult plain = eng.execute(q);
+  const QueryResult skipped = eng.execute(unbound_distinct);
+  ASSERT_EQ(skipped.stages.size(), plain.stages.size());
+  for (std::size_t i = 0; i < plain.stages.size(); ++i) {
+    EXPECT_EQ(skipped.stages[i].stage, plain.stages[i].stage);
+    EXPECT_EQ(skipped.stages[i].seconds, plain.stages[i].seconds)
+        << plain.stages[i].stage;
+  }
+  EXPECT_EQ(skipped.total_seconds, plain.total_seconds);
+  EXPECT_EQ(skipped.solutions.num_rows(), 8u);
+
+  telemetry::Tracer tracer;
+  EngineOptions traced;
+  traced.topology = runtime::Topology::laptop(kRanks);
+  traced.tracer = &tracer;
+  IdsEngine storeless(traced, triples_.get(), features_.get());
+  Query modal = q;
+  modal.keywords.push_back({"d", {"alpha"}, true});
+  VectorClause vc;
+  vc.var = "d";
+  vc.query = {1.0f, 0.0f};
+  vc.k = 2;
+  modal.vectors.push_back(vc);
+  const QueryResult r = storeless.execute(modal);
+  EXPECT_EQ(r.solutions.num_rows(), 8u);  // neither clause restricted ?d
+  std::vector<std::string> timed;
+  for (const auto& st : r.stages) timed.push_back(st.stage);
+  std::vector<std::string> traced_stages;
+  for (const auto& s : tracer.snapshot()) {
+    if (s.category == "stage") traced_stages.push_back(s.name);
+  }
+  const std::vector<std::string> want = {"scan", "gather"};
+  EXPECT_EQ(timed, want);
+  EXPECT_EQ(traced_stages, want);
 }
 
 TEST_F(EdgeFixture, OrderDescendingAndLimit) {

@@ -37,8 +37,6 @@ check "raw rng flagged" 1 'raw RNG use' \
       --root "$repo/tools/lint_fixtures/raw_rng"
 check "unordered container in hot path flagged" 1 'node-based hash container' \
       --root "$repo/tools/lint_fixtures/unordered_hot"
-check "bare assert flagged" 1 'bare assert' \
-      --root "$repo/tools/lint_fixtures/bare_assert"
 check "raw stdout flagged" 1 'raw stdout write' \
       --root "$repo/tools/lint_fixtures/raw_stdout"
 check "host-side sleep flagged" 1 'host-side sleep' \

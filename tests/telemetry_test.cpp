@@ -595,14 +595,14 @@ class TelemetryEngineFixture : public ::testing::Test {
     return PatternTerm::Const(*triples_->dict().lookup(iri));
   }
 
-  /// Scan + join + UDF filter + distinct + cached invoke + gather: every
-  /// stage kind the tracer knows about.
+  /// Scan + hash join + UDF filter + distinct + cached invoke + gather:
+  /// every stage kind the tracer knows about.
   Query full_query() {
     Query q;
     q.patterns.push_back(
         {PatternTerm::Var("x"), term("type"), term("Person")});
     q.patterns.push_back(
-        {PatternTerm::Var("x"), term("knows"), PatternTerm::Var("y")});
+        {PatternTerm::Var("y"), term("knows"), PatternTerm::Var("x")});
     q.filters.push_back(Expr::Udf("coarse", {Expr::Var("x")}));
     q.distinct_var = "x";
     core::InvokeClause inv;
@@ -707,19 +707,53 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
                                       "distinct", "invoke:score", "gather"}));
 
   // Per-rank operator spans hang off stage spans; per-call spans hang off
-  // rank spans.
-  bool saw_rank = false;
+  // the invoke span of the same rank. Row attrs add up to the result's
+  // row counts. A fresh tracer's span ids are 1-based recording indices.
+  const Span no_span;
+  auto parent_of = [&](const Span& s) -> const Span& {
+    if (s.parent < 1 || s.parent > spans.size()) {
+      ADD_FAILURE() << s.name << " has no recorded parent";
+      return no_span;
+    }
+    return spans[s.parent - 1];
+  };
+  auto attr = [](const Span& s, std::string_view key) -> std::string {
+    for (const auto& [k, v] : s.attrs) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << s.name << " lacks attr " << key;
+    return "0";
+  };
+  std::vector<std::string> rank_ops;
+  std::uint64_t filter_rows_kept = 0;
   bool saw_cache_call = false;
   bool saw_udf_call = false;
   for (const Span& s : spans) {
     if (s.category == "rank") {
-      saw_rank = true;
       EXPECT_GE(s.rank, 0);
+      EXPECT_EQ(parent_of(s).category, "stage") << s.name;
+      if (std::find(rank_ops.begin(), rank_ops.end(), s.name) ==
+          rank_ops.end()) {
+        rank_ops.push_back(s.name);
+      }
+      if (s.name == "filter") {
+        filter_rows_kept += std::stoull(attr(s, "rows_kept"));
+      }
+      if (s.name == "scan" || s.name == "join:build") attr(s, "matches");
+      if (s.name == "join:probe") attr(s, "produced");
     }
-    if (s.category == "cache") saw_cache_call = true;
-    if (s.category == "udf") saw_udf_call = true;
+    if (s.category == "cache" || s.category == "udf") {
+      const Span& parent = parent_of(s);
+      EXPECT_EQ(parent.category, "rank") << s.name;
+      EXPECT_EQ(parent.name, "invoke") << s.name;
+      EXPECT_EQ(parent.rank, s.rank) << s.name;
+      (s.category == "cache" ? saw_cache_call : saw_udf_call) = true;
+    }
   }
-  EXPECT_TRUE(saw_rank);
+  EXPECT_EQ(rank_ops,
+            (std::vector<std::string>{"scan", "join:build", "join:probe",
+                                      "filter", "distinct", "invoke"}));
+  EXPECT_EQ(filter_rows_kept, r.rows_after_filters);
   EXPECT_TRUE(saw_cache_call);
   EXPECT_TRUE(saw_udf_call);
 
@@ -738,6 +772,35 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
                 ->count(),
             r.rows_invoked);
   EXPECT_EQ(reg.counter("ids_engine_queries_total")->value(), 1u);
+}
+
+TEST_F(TelemetryEngineFixture, CappedTracerCountsEachDroppedSpanOnce) {
+  auto run = [this](Tracer* tracer) {
+    MetricsRegistry reg;
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.tracer = tracer;
+    opts.metrics = &reg;
+    IdsEngine eng(opts, triples_.get(), features_.get());
+    register_udfs(&eng);
+    Query q = full_query();
+    q.invokes[0].use_cache = false;  // no cache configured in this engine
+    eng.execute(q);
+  };
+  Tracer uncapped;
+  run(&uncapped);
+  const std::uint64_t n = uncapped.size();
+  ASSERT_GT(n, 1u);
+  EXPECT_EQ(uncapped.dropped(), 0u);
+
+  // A cap of one keeps the root span; every other span of the same query
+  // is dropped, and counted, exactly once.
+  MetricsRegistry reg;
+  Tracer capped(1, &reg);
+  run(&capped);
+  EXPECT_EQ(capped.size(), 1u);
+  EXPECT_EQ(capped.dropped(), n - 1);
+  EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(), n - 1);
 }
 
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {

@@ -10,7 +10,7 @@
 // the lambda arguments, resolves their captures, and flags state that is
 // captured by reference (or reached through a captured `this`) and then
 // mutated inside the task body without a guarding MutexLock, an atomic
-// type, an IDS_GUARDED_BY/IDS_SINGLE_QUERY_ONLY annotation, or an
+// type, an IDS_GUARDED_BY/IDS_FROZEN_AFTER annotation, or an
 // internally-synchronized receiver class.
 //
 // The sanctioned per-rank pattern — `dst[rank] = ...` indexed writes into

@@ -67,8 +67,6 @@ bool parse_decl_span(const FileData& f, std::size_t begin, std::size_t end,
       for (std::size_t k = o + 1; k + 1 < e; ++k) arg += f.toks[k].text;
       if (macro == "IDS_GUARDED_BY" || macro == "IDS_PT_GUARDED_BY") {
         out->guarded_by = arg.empty() ? "?" : arg;
-      } else if (macro == "IDS_SINGLE_QUERY_ONLY") {
-        out->waiver = arg.empty() ? "unspecified" : arg;
       } else if (macro == "IDS_FROZEN_AFTER") {
         out->frozen_after = arg.empty() ? "?" : arg;
       }

@@ -4,7 +4,7 @@
 //
 // Builds on the corpus' member-declaration spans: every data member of
 // every class is classified (const, static, atomic, synchronization
-// primitive, IDS_GUARDED_BY annotation, IDS_SINGLE_QUERY_ONLY waiver), and
+// primitive, IDS_GUARDED_BY or IDS_FROZEN_AFTER annotation), and
 // every function body is scanned for write sites against those fields —
 // direct assignments, increments, and mutating method calls — each tagged
 // with whether the site runs inside a constructor/destructor and which
@@ -15,9 +15,9 @@
 // --certify=concurrent-exec walk classifies every field transitively
 // reachable from IdsEngine::execute. The class-safety fixed point lives
 // here too: a class is concurrency-safe when every field is const, a sync
-// primitive, atomic, lock-annotated, waived, or never written outside its
-// constructor — with mutating method calls resolved against the callee
-// class' own safety, iterated until stable.
+// primitive, atomic, lock-annotated, phase-frozen, or never written
+// outside its constructor — with mutating method calls resolved against
+// the callee class' own safety, iterated until stable.
 
 #include <cstddef>
 #include <map>
@@ -41,16 +41,15 @@ struct FieldInfo {
   bool is_atomic = false;   // std::atomic<...> (or atomic_* alias)
   bool is_sync = false;     // ids::Mutex / ids::CondVar
   std::string guarded_by;   // IDS_GUARDED_BY argument ("" = unannotated)
-  std::string waiver;       // IDS_SINGLE_QUERY_ONLY reason ("" = not waived)
   std::string frozen_after;  // IDS_FROZEN_AFTER freeze method ("" = none)
 
   std::string qualified() const { return klass + "::" + name; }
-  /// const, sync primitive, atomic, lock-annotated, waived, or phase-
-  /// frozen — the field can never be an *unguarded* race by itself (for
-  /// frozen fields the phase rules carry the proof obligation).
+  /// const, sync primitive, atomic, lock-annotated, or phase-frozen —
+  /// the field can never be an *unguarded* race by itself (for frozen
+  /// fields the phase rules carry the proof obligation).
   bool protected_state() const {
     return is_const || is_sync || is_atomic || !guarded_by.empty() ||
-           !waiver.empty() || !frozen_after.empty();
+           !frozen_after.empty();
   }
 };
 

@@ -38,9 +38,7 @@
 //   [shared-state]              only under --certify=concurrent-exec: the
 //                               shared-state certificate rooted at
 //                               IdsEngine::execute (inventory on stdout,
-//                               findings on stderr; IDS_SINGLE_QUERY_ONLY
-//                               waives an entry and records the worklist
-//                               for concurrent serving).
+//                               findings on stderr).
 //
 // phase/epoch (rules_phase.cpp, phase.h):
 //   [phase-discipline]          IDS_FROZEN_AFTER(freeze) fields: the

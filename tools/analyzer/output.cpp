@@ -41,7 +41,7 @@ const std::vector<RuleInfo>& rule_table() {
       {"guarded-by",
        "Fields of classes that own an ids::Mutex must hold the lock "
        "consistently at every write and carry IDS_GUARDED_BY (or be "
-       "atomic/const/IDS_SINGLE_QUERY_ONLY-waived)."},
+       "atomic/const)."},
       {"thread-escape",
        "State captured by reference (or via 'this') in a task handed to "
        "ThreadPool::submit/parallel_for must not be mutated without a "
@@ -50,8 +50,8 @@ const std::vector<RuleInfo>& rule_table() {
       {"shared-state",
        "--certify=concurrent-exec: every static, global, and member "
        "transitively reachable from IdsEngine::execute must be immutable, "
-       "guarded, atomic, internally synchronized, phase-frozen "
-       "(IDS_FROZEN_AFTER), or IDS_SINGLE_QUERY_ONLY-waived."},
+       "guarded, atomic, internally synchronized, or phase-frozen "
+       "(IDS_FROZEN_AFTER)."},
       {"phase-discipline",
        "An IDS_FROZEN_AFTER(freeze) field's owning class must define the "
        "freeze method, the field must not be mutable (lazy-prepare: "

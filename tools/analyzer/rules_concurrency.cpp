@@ -15,7 +15,7 @@
 //                rule: missing a virtual dispatch would hide a race),
 //                namespace-scope globals unconditionally — classified as
 //                const-after-init / guarded / frozen-after-init / atomic /
-//                sync-primitive / internally-synchronized / waived, with
+//                sync-primitive / internally-synchronized, with
 //                everything else a violation. The machine-readable
 //                inventory goes to stdout and is committed as
 //                tools/concurrency_certificate.json. IDS_FROZEN_AFTER
@@ -79,7 +79,7 @@ void run_guarded_by(Analysis& a, const FieldTable& t) {
       std::string hint =
           locked.empty()
               ? "annotate it IDS_GUARDED_BY(<mutex>) and guard the writes, "
-                "make it atomic, or waive it with IDS_SINGLE_QUERY_ONLY"
+                "or make it atomic"
               : "annotate it IDS_GUARDED_BY(" + site.lock.substr(
                     site.lock.rfind("::") == std::string::npos
                         ? 0
@@ -112,7 +112,7 @@ void run_thread_escape(Analysis& a, const FieldTable& t) {
 struct Entry {
   std::string name;    // field/static/global name (qualified for statics)
   std::string status;  // const-after-init | guarded | atomic | ...
-  std::string detail;  // guard node, waiver reason, or type class
+  std::string detail;  // guard node, freeze method, or type class
   std::string path;
   int line = 0;
   bool violation() const { return status == "violation"; }
@@ -145,10 +145,7 @@ Entry classify_standalone(const FieldInfo& fi, const Corpus& corpus,
   e.name = fi.name;
   e.path = fi.path;
   e.line = fi.line;
-  if (!fi.waiver.empty()) {
-    e.status = "waived";
-    e.detail = fi.waiver;
-  } else if (fi.is_sync) {
+  if (fi.is_sync) {
     e.status = "sync-primitive";
   } else if (fi.is_atomic) {
     e.status = "atomic";
@@ -182,13 +179,11 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
   FieldTable t = build_field_table(corpus);
   PhaseAnalysis phases = analyze_phases(corpus, *a.graph, t);
 
-  // Class closure over field types, rooted at the engine. A waived field
-  // cuts its subtree: its object is owned by the single-query contract the
-  // waiver records, so inventorying its internals would be noise. A
-  // guarded field cuts it too — the annotated mutex protects the whole
-  // object, and Clang's analysis already checks every access to it — and
-  // so does a frozen field: the phase analysis proves it immutable after
-  // its freeze method, so its internals cannot race either.
+  // Class closure over field types, rooted at the engine. A guarded field
+  // cuts its subtree — the annotated mutex protects the whole object, and
+  // Clang's analysis already checks every access to it — and so does a
+  // frozen field: the phase analysis proves it immutable after its freeze
+  // method, so its internals cannot race either.
   std::set<std::string> closure = {"IdsEngine"};
   std::vector<std::string> queue = {"IdsEngine"};
   while (!queue.empty()) {
@@ -198,10 +193,7 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
     if (bc == t.by_class.end()) continue;
     for (const auto& [name, idx] : bc->second) {
       const FieldInfo& fi = t.fields[idx];
-      if (!fi.waiver.empty() || !fi.guarded_by.empty() ||
-          !fi.frozen_after.empty()) {
-        continue;
-      }
+      if (!fi.guarded_by.empty() || !fi.frozen_after.empty()) continue;
       if (fi.type_class.empty()) continue;
       if (closure.insert(fi.type_class).second) {
         queue.push_back(fi.type_class);
@@ -223,8 +215,7 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
           {"shared-state", e.path, e.line,
            report_name + " is reachable from IdsEngine::execute but is "
            "neither const, guarded, atomic, internally synchronized, "
-           "phase-frozen (IDS_FROZEN_AFTER), nor IDS_SINGLE_QUERY_ONLY-"
-           "waived (" + e.detail +
+           "nor phase-frozen (IDS_FROZEN_AFTER) (" + e.detail +
            "); concurrent queries would race on it",
            {},
            false});
@@ -247,10 +238,7 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
       e.name = fi.name;
       e.path = fi.path;
       e.line = fi.line;
-      if (!fi.waiver.empty()) {
-        e.status = "waived";
-        e.detail = fi.waiver;
-      } else if (fi.is_sync) {
+      if (fi.is_sync) {
         e.status = "sync-primitive";
       } else if (fi.is_atomic) {
         e.status = "atomic";
@@ -340,9 +328,8 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
               {"shared-state", e.path, e.line,
                "function-local static '" + e.name +
                    "' is reachable from IdsEngine::execute but is neither "
-                   "const, atomic, internally synchronized, nor "
-                   "IDS_SINGLE_QUERY_ONLY-waived; concurrent queries would "
-                   "race on its mutation",
+                   "const, atomic, nor internally synchronized; concurrent "
+                   "queries would race on its mutation",
                {},
                false});
         }
@@ -366,9 +353,8 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
       a.findings.push_back(
           {"shared-state", e.path, e.line,
            "namespace-scope global '" + e.name +
-               "' is mutable shared state; make it const, atomic, "
-               "internally synchronized, or waive it with "
-               "IDS_SINGLE_QUERY_ONLY",
+               "' is mutable shared state; make it const, atomic, or "
+               "internally synchronized",
            {},
            false});
     }
@@ -413,7 +399,7 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
      << "    \"const\": " << const_fields << ",\n";
   for (const char* s : {"const-after-init", "guarded", "frozen-after-init",
                         "sync-primitive", "atomic",
-                        "internally-synchronized", "waived"}) {
+                        "internally-synchronized"}) {
     os << "    \"" << s << "\": " << status_counts[s] << ",\n";
   }
   os << "    \"violations\": " << violations << "\n"

@@ -1,6 +1,5 @@
 // Fixture (positive): everything execute() reaches is immutable, guarded,
-// atomic, or explicitly waived — the certificate passes, and the waiver
-// lands in the inventory as the concurrent-serving worklist entry.
+// or atomic — the certificate passes.
 
 namespace fixture {
 
@@ -14,7 +13,6 @@ class IdsEngine {
   Mutex mu_;
   long served_ IDS_GUARDED_BY(mu_) = 0;
   std::atomic<long> ticks_{0};
-  std::vector<int> scratch_ IDS_SINGLE_QUERY_ONLY(fixture_scratch_reuse);
 };
 
 int IdsEngine::execute() {
@@ -24,8 +22,7 @@ int IdsEngine::execute() {
     served_ += 1;
   }
   ticks_.fetch_add(1);
-  scratch_.push_back(kBatch);
-  return static_cast<int>(kQueryLimit);
+  return static_cast<int>(kQueryLimit) + kBatch;
 }
 
 }  // namespace fixture

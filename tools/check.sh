@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness gate: custom lint, the ids-analyzer static checks, then
-# the test suite under TSan and under ASan+UBSan. This is what CI runs on
-# every PR (tools/ci.sh) and what a developer should run before pushing
+# the test suite under TSan and under ASan+UBSan. tools/ci.sh runs this and
+# adds a Release pass; a developer should run it before pushing
 # concurrency-touching changes.
 #
 # Usage: tools/check.sh [--jobs N]
@@ -65,7 +65,7 @@ fi
 
 echo "==> ids-analyzer certify (concurrent-exec shared-state certificate)"
 # The certificate must pass (exit 0) AND match the committed inventory, so
-# every newly waived or reclassified entry shows up in review.
+# every reclassified entry shows up in review.
 fresh_cert=$(mktemp)
 "$analyzer" --certify=concurrent-exec src > "$fresh_cert"
 if ! diff -u tools/concurrency_certificate.json "$fresh_cert"; then

@@ -12,10 +12,7 @@
 #      common RNG for reproducibility.
 #   5. Node-based hash containers in the engine hot paths (src/core,
 #      src/graph).
-#   6. Bare assert( in src/ — compiled out under NDEBUG; invariants use
-#      IDS_CHECK / IDS_DCHECK (common/check.h), recoverable conditions
-#      return a Status. tools/analyzer enforces the same ban with full
-#      token fidelity; this regex rule keeps the signal in plain `lint`.
+#   6. (Retired: bare assert( is banned by ids-analyzer [bare-assert].)
 #   7. Raw stdout writes (std::cout / printf / fprintf(stdout) / puts) in
 #      src/ — library code reports through IDS_LOG (stderr) or the
 #      telemetry exporters; stdout belongs to the examples and tools that
@@ -171,21 +168,6 @@ while IFS= read -r f; do
   hits=$(grep -nE 'std::unordered_(multi)?map' "$f" | grep -v 'lint:allow-unordered')
   if [ -n "$hits" ]; then
     fail "node-based hash container in hot path $f (use FlatGroupIndex/FlatTermSet from common/flat_map.h, or mark a cold-path use with // lint:allow-unordered):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
-
-# --- 6. bare assert( in src/ --------------------------------------------
-# Comment-stripped so prose mentioning assert() (e.g. in common/check.h)
-# does not trip the rule; static_assert survives the word boundary.
-while IFS= read -r f; do
-  case "$f" in
-    src/*) ;;
-    *) continue ;;
-  esac
-  hits=$(sed 's|//.*||' "$f" | grep -nE '(^|[^_[:alnum:]])assert[[:space:]]*\(')
-  if [ -n "$hits" ]; then
-    fail "bare assert in $f (use IDS_CHECK/IDS_DCHECK from common/check.h, or return a Status for recoverable conditions):
 $hits"
   fi
 done < <(list_files '*.h'; list_files '*.cpp')
