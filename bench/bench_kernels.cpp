@@ -12,6 +12,7 @@
 #include "algo/graph_algorithms.h"
 #include "cache/manager.h"
 #include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/planner.h"
@@ -222,13 +223,20 @@ void BM_TelemetryOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
 
+/// "v<i>", built by appending to one string.
+std::string vertex_name(std::uint64_t i) {
+  std::string name = "v";
+  name += std::to_string(i);
+  return name;
+}
+
 void BM_PageRank(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   graph::TripleStore store(8);
   Rng rng(10);
   for (int i = 0; i < n * 4; ++i) {
-    store.add("v" + std::to_string(rng.next_below(n)), "edge",
-              "v" + std::to_string(rng.next_below(n)));
+    store.add(vertex_name(rng.next_below(n)), "edge",
+              vertex_name(rng.next_below(n)));
   }
   store.finalize();
   runtime::Topology topo = runtime::Topology::laptop(8);
@@ -246,8 +254,8 @@ void BM_ConnectedComponents(benchmark::State& state) {
   graph::TripleStore store(8);
   Rng rng(11);
   for (int i = 0; i < 4000; ++i) {
-    store.add("v" + std::to_string(rng.next_below(1000)), "edge",
-              "v" + std::to_string(rng.next_below(1000)));
+    store.add(vertex_name(rng.next_below(1000)), "edge",
+              vertex_name(rng.next_below(1000)));
   }
   store.finalize();
   runtime::Topology topo = runtime::Topology::laptop(8);
@@ -420,8 +428,8 @@ void BM_ShufflePerRow(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<graph::SolutionTable> out(kParts, table.empty_like());
     for (std::size_t row = 0; row < rows; ++row) {
-      auto dst = static_cast<std::size_t>(mix64(table.id_at(row, 0)) % kParts);
-      out[dst].append_row_from(table, row);
+      const int dst = shard_of(table.id_at(row, 0), kParts);
+      out[static_cast<std::size_t>(dst)].append_row_from(table, row);
     }
     benchmark::DoNotOptimize(out);
   }
@@ -432,21 +440,9 @@ BENCHMARK(BM_ShufflePerRow)->Arg(1 << 12)->Arg(1 << 14);
 void BM_ShuffleBatch(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   constexpr int kParts = 16;
-  graph::SolutionTable table = make_shuffle_table(rows);
-  std::vector<int> dsts(rows);
-  graph::RowPartition partition;  // reused, as shuffle_rows reuses it
+  const std::vector<graph::SolutionTable> parts = {make_shuffle_table(rows)};
   for (auto _ : state) {
-    std::vector<graph::SolutionTable> out(kParts, table.empty_like());
-    const auto& keys = table.id_col(0);
-    for (std::size_t row = 0; row < rows; ++row) {
-      dsts[row] = static_cast<int>(mix64(keys[row]) % kParts);
-    }
-    partition.assign(dsts, kParts);
-    for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
-      out[static_cast<std::size_t>(partition.dsts()[i])].append_rows_from(
-          table, partition.rows(i));
-    }
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(graph::exchange_by_key(parts, 0, kParts));
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
@@ -454,30 +450,20 @@ BENCHMARK(BM_ShuffleBatch)->Arg(1 << 12)->Arg(1 << 14);
 
 // The wide fan-out shape of a 2048-rank query (fig4-wide): every rank holds
 // only a few rows and hashes them across all 2048 ranks. One iteration is a
-// whole shuffle (all sources into all destinations, partition buffers
-// reused across sources, as shuffle_rows does), so any per-(src, dst)
-// bookkeeping shows up as O(p^2) here; Arg = rows per source.
+// whole exchange (all sources into all destinations, reporting every
+// src != dst group as the engine's traffic booking does), so any per-(src,
+// dst) bookkeeping shows up as O(p^2) here; Arg = rows per source.
 void BM_ShuffleWide(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   constexpr int kRanks = 2048;
   std::vector<graph::SolutionTable> parts;
   for (int r = 0; r < kRanks; ++r) parts.push_back(make_shuffle_table(rows));
-  std::vector<int> dsts(rows);
-  graph::RowPartition partition;
   for (auto _ : state) {
-    std::vector<graph::SolutionTable> out(kRanks, parts[0].empty_like());
-    for (const graph::SolutionTable& table : parts) {
-      const auto& keys = table.id_col(0);
-      for (std::size_t row = 0; row < rows; ++row) {
-        dsts[row] = static_cast<int>(mix64(keys[row]) % kRanks);
-      }
-      partition.assign(dsts, kRanks);
-      for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
-        out[static_cast<std::size_t>(partition.dsts()[i])].append_rows_from(
-            table, partition.rows(i));
-      }
-    }
-    benchmark::DoNotOptimize(out);
+    std::size_t sent = 0;
+    benchmark::DoNotOptimize(graph::exchange_by_key(
+        parts, 0, kRanks,
+        [&sent](int, int, std::size_t n) { sent += n; }));
+    benchmark::DoNotOptimize(sent);
   }
   state.SetItemsProcessed(state.iterations() * rows * kRanks);
 }

@@ -30,6 +30,14 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The placement rule: the shard (and rank) that owns entity `id` among
+/// `num_shards`. The triple, vector and feature stores shard by it and the
+/// engine's row exchange routes by it, so with one shard per rank an
+/// entity's triples, embedding, features and solution rows co-locate.
+constexpr int shard_of(std::uint64_t id, int num_shards) {
+  return static_cast<int>(mix64(id) % static_cast<std::uint64_t>(num_shards));
+}
+
 /// Combines two 64-bit hashes (boost-style but 64-bit constants).
 constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
   return seed ^ (mix64(v) + 0x9e3779b97f4a7c15ull + (seed << 12) + (seed >> 4));

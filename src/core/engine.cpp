@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -38,7 +37,6 @@ double QueryResult::seconds_excluding(std::string_view prefix) const {
 namespace {
 
 using graph::RowIndex;
-using graph::RowPartition;
 using graph::SolutionTable;
 using graph::TermId;
 using graph::TriplePattern;
@@ -398,40 +396,20 @@ class QueryExecution {
 
   // ---- Row movement ------------------------------------------------------
 
-  /// Moves every row to the rank returned by `dst_of`, charging the
-  /// alpha-beta fabric model and synchronizing clocks (one alltoallv).
-  /// Batch kernel: destinations are computed into a flat array, grouped
-  /// into a CSR RowPartition, and moved with one columnar gather per
-  /// non-empty (src, dst) pair instead of one schema-walk per row.
-  void shuffle_rows(
-      const std::function<int(const SolutionTable&, std::size_t)>& dst_of) {
+  /// Moves every row to the rank owning its `key_col` id (one alltoallv,
+  /// charged on the fabric model; clocks synchronize). The constructor
+  /// checks one triple shard per rank, so a subject's owner is also the
+  /// shard holding its triples.
+  void exchange_on(int key_col) {
     if (!has_schema()) return;
-    std::vector<SolutionTable> out;
-    out.reserve(static_cast<std::size_t>(p_));
-    for (int r = 0; r < p_; ++r) out.push_back(parts_[0].empty_like());
-
-    std::vector<runtime::TrafficSummary> traffic(static_cast<std::size_t>(p_));
     const std::size_t row_bytes = parts_[0].row_bytes();
-
-    std::vector<int> dsts;
-    RowPartition partition;
-    for (int src = 0; src < p_; ++src) {
-      auto& table = parts_[static_cast<std::size_t>(src)];
-      const std::size_t n = table.num_rows();
-      dsts.resize(n);
-      for (std::size_t row = 0; row < n; ++row) dsts[row] = dst_of(table, row);
-      partition.assign(dsts, p_);
-
-      for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
-        const int dst = partition.dsts()[i];
-        const auto rows = partition.rows(i);
-        out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
-        if (dst != src) send(traffic, src, dst, rows.size(), row_bytes);
-      }
-      table.clear();
-    }
-    parts_ = std::move(out);
-    charge_exchange(traffic);
+    runtime::TrafficLedger ledger(opts_.topology);
+    parts_ = graph::exchange_by_key(
+        parts_, key_col, p_, [&](int src, int dst, std::size_t rows) {
+          result_.account.rows_partitioned += rows;
+          ledger.send(src, dst, row_bytes * rows);
+        });
+    ledger.charge(clocks_);
   }
 
   /// Redistributes rows so rank r ends with targets[r] rows, moving as few
@@ -439,7 +417,7 @@ class QueryExecution {
   void redistribute_to_targets(const std::vector<std::size_t>& targets) {
     if (!has_schema()) return;
     const std::size_t row_bytes = parts_[0].row_bytes();
-    std::vector<runtime::TrafficSummary> traffic(static_cast<std::size_t>(p_));
+    runtime::TrafficLedger ledger(opts_.topology);
 
     struct Deficit {
       int rank;
@@ -464,42 +442,13 @@ class QueryExecution {
         parts_[static_cast<std::size_t>(dst)].append_row_range_from(
             table, n - take, n);
         table.truncate(n - take);
-        send(traffic, src, dst, take, row_bytes);
+        result_.account.rows_partitioned += take;
+        ledger.send(src, dst, row_bytes * take);
         deficits[d].need -= take;
         if (deficits[d].need == 0) ++d;
       }
     }
-    charge_exchange(traffic);
-  }
-
-  /// Books one src -> dst message of `rows` rows into an alltoallv's
-  /// per-rank traffic (intra- or inter-node by topology). Exchanges run
-  /// serially on the engine thread, so the account needs no lock.
-  void send(std::vector<runtime::TrafficSummary>& traffic, int src, int dst,
-            std::size_t rows, std::size_t row_bytes) {
-    result_.account.rows_partitioned += rows;
-    const std::uint64_t bytes = row_bytes * rows;
-    auto& ts = traffic[static_cast<std::size_t>(src)];
-    auto& td = traffic[static_cast<std::size_t>(dst)];
-    ++ts.messages;
-    if (opts_.topology.same_node(src, dst)) {
-      ts.intra_sent += bytes;
-      td.intra_recv += bytes;
-    } else {
-      ts.inter_sent += bytes;
-      td.inter_recv += bytes;
-    }
-  }
-
-  /// Charges an alltoallv's traffic with the alpha-beta fabric model and
-  /// synchronizes clocks.
-  void charge_exchange(const std::vector<runtime::TrafficSummary>& traffic) {
-    for (int r = 0; r < p_; ++r) {
-      runtime::charge_traffic(clocks_.at(static_cast<std::size_t>(r)),
-                              opts_.topology,
-                              traffic[static_cast<std::size_t>(r)]);
-    }
-    clocks_.barrier();
+    ledger.charge(clocks_);
   }
 
   // ---- Graph pattern operators --------------------------------------------
@@ -599,9 +548,7 @@ class QueryExecution {
     int svar = parts_[0].id_var_index(pat.s.var);
     IDS_CHECK(svar >= 0);
     // Rows travel to the shard owning their subject value.
-    shuffle_rows([this, svar](const SolutionTable& t, std::size_t row) {
-      return triples_->shard_of_subject(t.id_at(row, svar));
-    });
+    exchange_on(svar);
 
     const std::vector<std::string> new_vars = unbound_vars(pat);
     const SolutionTable prototype = extended_prototype(new_vars);
@@ -681,44 +628,17 @@ class QueryExecution {
       op.attr("matches", matches);
     });
 
-    // Shuffle both sides by the join key.
+    // Shuffle both sides by the join key. The build side's communication
+    // is charged as one tree collective of the average build rows (cheap
+    // relative to the probe shuffle), not booked as alltoallv traffic.
     int probe_idx = parts_[0].id_var_index(join_var);
-    shuffle_rows([this, probe_idx](const SolutionTable& t, std::size_t row) {
-      return static_cast<int>(mix64(t.id_at(row, probe_idx)) %
-                              static_cast<std::uint64_t>(p_));
-    });
-    {
-      // Shuffle the build side with the same partitioning: a CSR
-      // RowPartition, then one gather per non-empty (src, dst) pair.
-      int bidx = build[0].id_var_index(join_var);
-      std::vector<SolutionTable> shuffled(static_cast<std::size_t>(p_),
-                                          build[0].empty_like());
-      std::vector<int> dsts;
-      RowPartition partition;
-      for (int src = 0; src < p_; ++src) {
-        auto& t = build[static_cast<std::size_t>(src)];
-        const auto& keys = t.id_col(bidx);
-        dsts.resize(keys.size());
-        for (std::size_t row = 0; row < keys.size(); ++row) {
-          dsts[row] = static_cast<int>(mix64(keys[row]) %
-                                       static_cast<std::uint64_t>(p_));
-        }
-        partition.assign(dsts, p_);
-        for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
-          shuffled[static_cast<std::size_t>(partition.dsts()[i])]
-              .append_rows_from(t, partition.rows(i));
-        }
-      }
-      build = std::move(shuffled);
-      // Communication for the build side: charged as one tree collective
-      // of the average build rows (cheap relative to the probe shuffle).
-      std::size_t build_rows = 0;
-      for (const auto& t : build) build_rows += t.num_rows();
-      runtime::charge_tree_collective(
-          clocks_, opts_.topology,
-          build_rows * build[0].row_bytes() /
-              static_cast<std::size_t>(p_));
-    }
+    exchange_on(probe_idx);
+    build = graph::exchange_by_key(build, build[0].id_var_index(join_var), p_);
+    std::size_t build_rows = 0;
+    for (const auto& t : build) build_rows += t.num_rows();
+    runtime::charge_tree_collective(
+        clocks_, opts_.topology,
+        build_rows * build[0].row_bytes() / static_cast<std::size_t>(p_));
 
     // Output schema: probe vars + new pattern vars.
     const std::vector<std::string> new_vars = unbound_vars(pat);
@@ -1076,10 +996,7 @@ class QueryExecution {
     Stage stage(*this, "distinct");
     charge_operator_overhead();
     // Co-locate equal values, then keep the first row of each value.
-    shuffle_rows([this, idx](const SolutionTable& t, std::size_t row) {
-      return static_cast<int>(mix64(t.id_at(row, idx)) %
-                              static_cast<std::uint64_t>(p_));
-    });
+    exchange_on(idx);
     runtime::for_each_rank(p_, "rank.distinct", [&](int r) {
       RankOp op(*this, "distinct", r);
       auto& t = parts_[static_cast<std::size_t>(r)];

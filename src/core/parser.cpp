@@ -239,8 +239,10 @@ class Parser {
     }
     if (t.kind == TokKind::kString) {
       // Literals are stored quoted in the dictionary (Turtle-style).
-      *out = graph::PatternTerm::Const(
-          dict_->intern("\"" + lexer_.take().text + "\""));
+      std::string quoted = "\"";
+      quoted += lexer_.take().text;
+      quoted += '"';
+      *out = graph::PatternTerm::Const(dict_->intern(quoted));
       return Status::Ok();
     }
     return lexer_.error("expected IRI, literal or variable");

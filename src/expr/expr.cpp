@@ -84,6 +84,20 @@ void Expr::collect_udfs(std::vector<std::string>* out) const {
   for (const auto& c : children_) c->collect_udfs(out);
 }
 
+namespace {
+
+/// "(lhs op rhs)", built by appending to one string.
+std::string infix(const Expr& lhs, std::string_view op, const Expr& rhs) {
+  std::string out = "(";
+  out += lhs.to_string();
+  out += op;
+  out += rhs.to_string();
+  out += ')';
+  return out;
+}
+
+}  // namespace
+
 std::string Expr::to_string() const {
   switch (kind_) {
     case ExprKind::kConst:
@@ -93,21 +107,18 @@ std::string Expr::to_string() const {
     case ExprKind::kFeature:
       return children_[0]->to_string() + "." + name_;
     case ExprKind::kCompare: {
-      static constexpr const char* ops[] = {"==", "!=", "<", "<=", ">", ">="};
-      return "(" + children_[0]->to_string() + " " +
-             ops[static_cast<int>(cmp_)] + " " + children_[1]->to_string() + ")";
+      static constexpr const char* ops[] = {" == ", " != ", " < ",
+                                            " <= ", " > ", " >= "};
+      return infix(*children_[0], ops[static_cast<int>(cmp_)], *children_[1]);
     }
     case ExprKind::kLogical: {
       if (logic_ == LogicOp::kNot) return "!(" + children_[0]->to_string() + ")";
-      const char* op = logic_ == LogicOp::kAnd ? " && " : " || ";
-      return "(" + children_[0]->to_string() + op + children_[1]->to_string() +
-             ")";
+      return infix(*children_[0], logic_ == LogicOp::kAnd ? " && " : " || ",
+                   *children_[1]);
     }
     case ExprKind::kArith: {
-      static constexpr const char* ops[] = {"+", "-", "*", "/"};
-      return "(" + children_[0]->to_string() + " " +
-             ops[static_cast<int>(arith_)] + " " + children_[1]->to_string() +
-             ")";
+      static constexpr const char* ops[] = {" + ", " - ", " * ", " / "};
+      return infix(*children_[0], ops[static_cast<int>(arith_)], *children_[1]);
     }
     case ExprKind::kUdfCall: {
       std::string s = name_ + "(";

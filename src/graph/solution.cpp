@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace ids::graph {
 
@@ -167,6 +168,34 @@ RowPartition SolutionTable::partition_rows(std::span<const int> dst_of_row,
                                            int num_dsts) {
   RowPartition out;
   out.assign(dst_of_row, num_dsts);
+  return out;
+}
+
+std::vector<SolutionTable> exchange_by_key(
+    std::span<const SolutionTable> parts, int key_col, int num_dsts,
+    const ExchangeGroupFn& on_group) {
+  IDS_CHECK(!parts.empty());
+  std::vector<SolutionTable> out(static_cast<std::size_t>(num_dsts),
+                                 parts[0].empty_like());
+  std::vector<int> dsts;
+  RowPartition partition;
+  for (std::size_t src = 0; src < parts.size(); ++src) {
+    const SolutionTable& table = parts[src];
+    const auto& keys = table.id_col(key_col);
+    dsts.resize(keys.size());
+    for (std::size_t row = 0; row < keys.size(); ++row) {
+      dsts[row] = shard_of(keys[row], num_dsts);
+    }
+    partition.assign(dsts, num_dsts);
+    for (std::size_t i = 0; i < partition.dsts().size(); ++i) {
+      const int dst = partition.dsts()[i];
+      const auto rows = partition.rows(i);
+      out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
+      if (on_group && dst != static_cast<int>(src)) {
+        on_group(static_cast<int>(src), dst, rows.size());
+      }
+    }
+  }
   return out;
 }
 

@@ -9,6 +9,7 @@
 // friendly, and redistribution packs rows densely.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -123,8 +124,8 @@ class SolutionTable {
                           std::span<const RowIndex> rows)
       IDS_INVALIDATES(id_cols_);
 
-  /// Splits row positions by destination (see RowPartition). Shuffles that
-  /// partition many sources reuse one RowPartition via assign() instead.
+  /// Splits row positions by destination (see RowPartition). The row
+  /// exchange (exchange_by_key) reuses one RowPartition via assign().
   static RowPartition partition_rows(std::span<const int> dst_of_row,
                                      int num_dsts);
 
@@ -191,5 +192,21 @@ class SolutionTable {
   std::vector<std::vector<TermId>> id_cols_;
   std::vector<std::vector<double>> num_cols_;
 };
+
+/// Receives one non-empty (src, dst, rows) group of a row exchange whose
+/// source and destination differ: the message an alltoallv would send.
+using ExchangeGroupFn = std::function<void(int src, int dst, std::size_t rows)>;
+
+/// The keyed row exchange: returns num_dsts tables, table d holding every
+/// row of `parts` whose key_col id is owned by d under the placement rule
+/// (ids::shard_of). Sources are visited in ascending order and each one's
+/// rows are grouped by destination with one reused RowPartition, so a
+/// destination receives its rows source-ascending, then row-ascending.
+/// `on_group` (optional) is called once per non-empty src != dst group,
+/// serially and in that same order; rows staying on their source travel
+/// no link and are not reported.
+std::vector<SolutionTable> exchange_by_key(
+    std::span<const SolutionTable> parts, int key_col, int num_dsts,
+    const ExchangeGroupFn& on_group = {});
 
 }  // namespace ids::graph

@@ -52,7 +52,7 @@ class TripleStore {
 
   /// Stable owner shard for a subject id.
   int shard_of_subject(TermId s) const {
-    return static_cast<int>(mix64(s) % static_cast<std::uint64_t>(shards_.size()));
+    return ids::shard_of(s, num_shards());
   }
 
   std::size_t total_triples() const;

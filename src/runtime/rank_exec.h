@@ -27,7 +27,4 @@ void for_each_rank(int num_ranks, const std::function<void(int)>& fn);
 void for_each_rank(int num_ranks, const char* scope,
                    const std::function<void(int)>& fn);
 
-/// Serial variant for code that must interleave with shared mutable state.
-void for_each_rank_serial(int num_ranks, const std::function<void(int)>& fn);
-
 }  // namespace ids::runtime

@@ -32,8 +32,7 @@ class FeatureStore {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   int shard_of(graph::TermId entity) const {
-    return static_cast<int>(mix64(entity) %
-                            static_cast<std::uint64_t>(shards_.size()));
+    return ids::shard_of(entity, num_shards());
   }
 
   /// Sets (or overwrites) one feature of an entity. Ingest-phase only:

@@ -43,8 +43,7 @@ class VectorStore {
   }
 
   int shard_of(graph::TermId id) const {
-    return static_cast<int>(mix64(id) %
-                            static_cast<std::uint64_t>(shards_.size()));
+    return ids::shard_of(id, num_shards());
   }
 
   /// Adds (or overwrites) the embedding for an entity. vec.size() == dim.

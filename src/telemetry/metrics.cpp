@@ -93,7 +93,11 @@ std::string render_json_labels(const LabelSet& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape_json(k) + "\":\"" + escape_json(v) + "\"";
+    out += '"';
+    out += escape_json(k);
+    out += "\":\"";
+    out += escape_json(v);
+    out += '"';
   }
   out += "}";
   return out;

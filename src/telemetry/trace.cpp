@@ -220,30 +220,6 @@ void Tracer::end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall) {
   span->wall_end_ns = wall;
 }
 
-SpanId Tracer::record_span(std::string_view name, std::string_view category,
-                           SpanId parent, int rank, sim::Nanos virt_start,
-                           sim::Nanos virt_end, std::uint64_t wall_start_ns,
-                           std::uint64_t wall_end_ns) {
-  MutexLock lock(mutex_);
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    dropped_counter_->inc();
-    return kNoSpan;
-  }
-  Span span;
-  span.name = std::string(name);
-  span.category = std::string(category);
-  span.id = static_cast<SpanId>(spans_.size() + 1);
-  span.parent = parent;
-  span.rank = rank;
-  span.virt_start = virt_start;
-  span.virt_end = virt_end;
-  span.wall_start_ns = wall_start_ns;
-  span.wall_end_ns = wall_end_ns;
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
-}
-
 void Tracer::add_attr(SpanId id, std::string_view key, std::string_view value) {
   MutexLock lock(mutex_);
   Span* span = find_locked(id);

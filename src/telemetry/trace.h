@@ -83,8 +83,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Host wall clock in nanoseconds (steady). Exposed so callers can
-  /// timestamp retroactive spans consistently with begin/end pairs.
+  /// Host wall clock in nanoseconds (steady). Exposed so callers that
+  /// pass their own wall stamps (see below) use the same clock.
   static std::uint64_t wall_now_ns();
 
   /// Opens a span at modeled time `virt_now`; wall start is sampled here.
@@ -102,13 +102,6 @@ class Tracer {
   void end_span(SpanId id, sim::Nanos virt_now) IDS_EXCLUDES(mutex_);
   void end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall_end_ns)
       IDS_EXCLUDES(mutex_);
-
-  /// Records a completed span in one call (both time ranges supplied by
-  /// the caller). Used where the span is only known after the fact.
-  SpanId record_span(std::string_view name, std::string_view category,
-                     SpanId parent, int rank, sim::Nanos virt_start,
-                     sim::Nanos virt_end, std::uint64_t wall_start_ns,
-                     std::uint64_t wall_end_ns) IDS_EXCLUDES(mutex_);
 
   void add_attr(SpanId id, std::string_view key, std::string_view value)
       IDS_EXCLUDES(mutex_);

@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <queue>
+#include <string>
+#include <string_view>
 
 #include "algo/graph_algorithms.h"
 #include "common/rng.h"
@@ -18,11 +20,17 @@ using graph::TripleStore;
 
 constexpr const char* kEdge = "edge";
 
+/// Vertex name `prefix` + `i`, built by appending to one string.
+std::string vertex(std::string_view prefix, int i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 std::unique_ptr<TripleStore> ring_graph(int n, int shards) {
   auto store = std::make_unique<TripleStore>(shards);
   for (int i = 0; i < n; ++i) {
-    store->add("v" + std::to_string(i), kEdge,
-               "v" + std::to_string((i + 1) % n));
+    store->add(vertex("v", i), kEdge, vertex("v", (i + 1) % n));
   }
   store->finalize();
   return store;
@@ -87,12 +95,12 @@ TEST_P(AlgoShards, BfsDistancesMatchNaive) {
     int u = static_cast<int>(rng.next_below(n));
     int v = static_cast<int>(rng.next_below(n));
     if (u == v) continue;
-    store.add("n" + std::to_string(u), kEdge, "n" + std::to_string(v));
+    store.add(vertex("n", u), kEdge, vertex("n", v));
     edge_list.emplace_back(u, v);
   }
   store.finalize();
 
-  TermId source = *store.dict().lookup("n" + std::to_string(edge_list[0].first));
+  TermId source = *store.dict().lookup(vertex("n", edge_list[0].first));
   BfsResult got = bfs(store, runtime::Topology::laptop(shards), source);
 
   // Naive undirected BFS over the integer edge list.
@@ -116,7 +124,7 @@ TEST_P(AlgoShards, BfsDistancesMatchNaive) {
     }
   }
   for (int v = 0; v < n; ++v) {
-    auto id = store.dict().lookup("n" + std::to_string(v));
+    auto id = store.dict().lookup(vertex("n", v));
     if (!id) continue;  // vertex never materialized
     auto it = got.distance.find(*id);
     if (dist[static_cast<std::size_t>(v)] < 0) {
@@ -134,8 +142,8 @@ TEST_P(AlgoShards, ComponentsOnDisjointCliques) {
   for (int c = 0; c < 3; ++c) {
     for (int i = 0; i < 4; ++i) {
       for (int j = i + 1; j < 4; ++j) {
-        store.add("c" + std::to_string(c) + "_" + std::to_string(i), kEdge,
-                  "c" + std::to_string(c) + "_" + std::to_string(j));
+        const std::string clique = vertex("c", c) + "_";
+        store.add(vertex(clique, i), kEdge, vertex(clique, j));
       }
     }
   }
@@ -145,10 +153,10 @@ TEST_P(AlgoShards, ComponentsOnDisjointCliques) {
   EXPECT_EQ(r.num_components, 3u);
   // All vertices of a clique share a label.
   for (int c = 0; c < 3; ++c) {
-    TermId first = *store.dict().lookup("c" + std::to_string(c) + "_0");
+    const std::string clique = vertex("c", c) + "_";
+    TermId first = *store.dict().lookup(vertex(clique, 0));
     for (int i = 1; i < 4; ++i) {
-      TermId v = *store.dict().lookup("c" + std::to_string(c) + "_" +
-                                      std::to_string(i));
+      TermId v = *store.dict().lookup(vertex(clique, i));
       EXPECT_EQ(r.component.at(v), r.component.at(first));
     }
   }

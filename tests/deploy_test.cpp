@@ -201,14 +201,18 @@ TEST(Scheduler, RespectsSlotCapacity) {
   sim::VirtualClock clock;
   cache::PlacementHint hint;
   hint.target_node = 0;
+  std::vector<std::string> objects;
   for (int i = 0; i < 4; ++i) {
-    cache.put(clock, 0, "o" + std::to_string(i), std::string(100'000, 'x'),
-              hint);
+    objects.push_back("o");
+    objects.back() += std::to_string(i);
+    cache.put(clock, 0, objects.back(), std::string(100'000, 'x'), hint);
   }
   // All data on node 0, but only 2 slots there.
   std::vector<TaskSpec> tasks;
   for (int i = 0; i < 4; ++i) {
-    tasks.push_back({"t" + std::to_string(i), {"o" + std::to_string(i)}});
+    std::string task = "t";
+    task += std::to_string(i);
+    tasks.push_back({task, {objects[static_cast<std::size_t>(i)]}});
   }
   SchedulerOptions opts;
   opts.slots_per_node = 2;

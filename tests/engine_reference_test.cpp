@@ -17,12 +17,17 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/engine.h"
+#include "graph/triple_store.h"
+#include "store/feature_store.h"
+#include "store/vector_store.h"
 
 namespace ids::core {
 namespace {
@@ -280,7 +285,9 @@ GoldenScenario make_golden_scenario(int shards) {
   s.features = std::make_unique<store::FeatureStore>(shards);
   auto& dict = s.store->dict();
   for (int i = 0; i < 30; ++i) {
-    TermId id = dict.intern("e" + std::to_string(i));
+    std::string name = "e";
+    name += std::to_string(i);
+    TermId id = dict.intern(name);
     s.entities.push_back(id);
     s.features->set(id, "score", rng.uniform(0.0, 10.0));
   }
@@ -614,6 +621,98 @@ TEST(BatchPrimitives, PartitionRowsIsAStablePartition) {
     reused.assign(*in, n);
     expect_stable_partition(reused, *in, n);
   }
+}
+
+// The keyed exchange at one rank, an odd rank count and the fig4-wide
+// shape (2048 ranks, 4 rows per source). Columns b and c record each row's
+// source and position, so the per-row reference below pins placement,
+// order and the reported groups exactly.
+TEST(BatchPrimitives, ExchangeByKeyRoutesRowsToTheirOwnersInSourceOrder) {
+  for (const int p : {1, 3, 2048}) {
+    Rng rng(37 + static_cast<std::uint64_t>(p));
+    std::vector<SolutionTable> parts;
+    for (int src = 0; src < p; ++src) {
+      SolutionTable t{{"a", "b", "c"}, {"x"}};
+      for (int row = 0; row < 4; ++row) {
+        TermId ids[3] = {rng.next_u64(), static_cast<TermId>(src),
+                         static_cast<TermId>(row)};
+        double x = rng.uniform(-1.0, 1.0);
+        t.append_row(ids, {&x, 1});
+      }
+      parts.push_back(std::move(t));
+    }
+
+    std::vector<std::tuple<int, int, std::size_t>> groups;
+    const std::vector<SolutionTable> out = graph::exchange_by_key(
+        parts, 0, p, [&](int src, int dst, std::size_t rows) {
+          groups.emplace_back(src, dst, rows);
+        });
+
+    // Row-at-a-time reference: sources ascending, rows ascending, each row
+    // appended to its key's owner.
+    std::vector<SolutionTable> want(static_cast<std::size_t>(p),
+                                    parts[0].empty_like());
+    std::vector<std::tuple<int, int, std::size_t>> want_groups;
+    for (int src = 0; src < p; ++src) {
+      const SolutionTable& t = parts[static_cast<std::size_t>(src)];
+      std::map<int, std::size_t> sent;
+      for (std::size_t row = 0; row < t.num_rows(); ++row) {
+        const int dst = ids::shard_of(t.id_at(row, 0), p);
+        want[static_cast<std::size_t>(dst)].append_row_from(t, row);
+        if (dst != src) ++sent[dst];
+      }
+      for (const auto& [dst, rows] : sent) {
+        want_groups.emplace_back(src, dst, rows);
+      }
+    }
+
+    ASSERT_EQ(out.size(), static_cast<std::size_t>(p));
+    std::size_t moved = 0;
+    for (int dst = 0; dst < p; ++dst) {
+      const SolutionTable& got = out[static_cast<std::size_t>(dst)];
+      for (std::size_t row = 0; row < got.num_rows(); ++row) {
+        EXPECT_EQ(ids::shard_of(got.id_at(row, 0), p), dst);
+      }
+      EXPECT_EQ(rows_of(got), rows_of(want[static_cast<std::size_t>(dst)]))
+          << "p " << p << " destination " << dst;
+      moved += got.num_rows();
+    }
+    EXPECT_EQ(moved, static_cast<std::size_t>(p) * 4);
+    EXPECT_EQ(groups, want_groups) << "p " << p;
+    if (p == 1) {
+      EXPECT_TRUE(groups.empty());
+    }
+  }
+}
+
+// The co-location contract: with one shard per rank, the triple, vector and
+// feature stores and the row exchange all place an id on the same owner.
+TEST(BatchPrimitives, StoresAndExchangeAgreeOnOwners) {
+  constexpr int kShards = 7;
+  const graph::TripleStore triples(kShards);
+  const store::VectorStore vectors(kShards, 4);
+  const store::FeatureStore features(kShards);
+  Rng rng(38);
+  std::vector<SolutionTable> parts(1, SolutionTable{{"id"}});
+  for (TermId id = 0; id < 400; ++id) {
+    // Dense dictionary-style ids, then arbitrary 64-bit ones.
+    const TermId v = id < 200 ? id : rng.next_u64();
+    parts[0].append_row({&v, 1});
+  }
+  const std::vector<SolutionTable> out =
+      graph::exchange_by_key(parts, 0, kShards);
+  std::size_t seen = 0;
+  for (int dst = 0; dst < kShards; ++dst) {
+    const SolutionTable& t = out[static_cast<std::size_t>(dst)];
+    for (std::size_t row = 0; row < t.num_rows(); ++row) {
+      const TermId id = t.id_at(row, 0);
+      EXPECT_EQ(triples.shard_of_subject(id), dst) << id;
+      EXPECT_EQ(vectors.shard_of(id), dst) << id;
+      EXPECT_EQ(features.shard_of(id), dst) << id;
+    }
+    seen += t.num_rows();
+  }
+  EXPECT_EQ(seen, parts[0].num_rows());
 }
 
 TEST(BatchPrimitives, AppendPrefixFromMatchesWidenedPerRowBuild) {

@@ -98,7 +98,11 @@ TEST_F(ShardTest, RepeatedVariableConstrains) {
 TEST(TripleStore, ShardingIsStableAndComplete) {
   TripleStore store(4);
   for (int i = 0; i < 100; ++i) {
-    store.add("s" + std::to_string(i), "p", "o" + std::to_string(i));
+    std::string s = "s";
+    std::string o = "o";
+    s += std::to_string(i);
+    o += std::to_string(i);
+    store.add(s, "p", o);
   }
   store.finalize();
   EXPECT_EQ(store.total_triples(), 100u);

@@ -1,9 +1,8 @@
 // Tests for virtual time, the fabric cost model, topology, heterogeneity
-// profiles, and the costed collectives.
+// profiles, and the collective cost model (traffic ledger, tree
+// collective).
 
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "runtime/exchange.h"
 #include "runtime/hetero.h"
@@ -99,50 +98,87 @@ TEST(RankExec, ForEachRankRunsAll) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(Exchange, AlltoallvMovesDataCorrectly) {
-  Topology topo = Topology::cray_ex(2);  // 64 ranks
-  const int p = topo.num_ranks();
-  sim::ClockSet clocks(static_cast<std::size_t>(p));
-
-  // Rank r sends value r*1000+d to rank d.
-  std::vector<std::vector<std::vector<int>>> send(
-      static_cast<std::size_t>(p),
-      std::vector<std::vector<int>>(static_cast<std::size_t>(p)));
-  for (int r = 0; r < p; ++r) {
-    for (int d = 0; d < p; ++d) {
-      send[static_cast<std::size_t>(r)][static_cast<std::size_t>(d)] = {
-          r * 1000 + d};
-    }
+// A clock set charged by hand: charge_traffic per rank, then the barrier.
+sim::Nanos hand_charged(const Topology& topo,
+                        const std::vector<runtime::TrafficSummary>& traffic) {
+  sim::ClockSet clocks(traffic.size());
+  for (std::size_t r = 0; r < traffic.size(); ++r) {
+    runtime::charge_traffic(clocks.at(r), topo, traffic[r]);
   }
-  auto recv = runtime::alltoallv(clocks, topo, send);
-  for (int d = 0; d < p; ++d) {
-    ASSERT_EQ(recv[static_cast<std::size_t>(d)].size(),
-              static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)],
-                r * 1000 + d);
-    }
-  }
-  // Everyone communicated: clocks advanced and were synchronized.
-  EXPECT_GT(clocks.max(), 0u);
-  EXPECT_EQ(clocks.min(), clocks.max());
+  clocks.barrier();
+  return clocks.max();
 }
 
-TEST(Exchange, AlltoallvCostGrowsWithBytes) {
+TEST(Exchange, LedgerSelfSendsAreFree) {
   Topology topo = Topology::cray_ex(2);
   const int p = topo.num_ranks();
-  auto run = [&](std::size_t items) {
+  sim::ClockSet clocks(static_cast<std::size_t>(p));
+  runtime::TrafficLedger ledger(topo);
+  for (int r = 0; r < p; ++r) ledger.send(r, r, 1 << 20);
+  ledger.charge(clocks);
+  EXPECT_EQ(clocks.max(), 0u);
+}
+
+TEST(Exchange, LedgerBooksIntraAndInterBytesLikeHandBuiltTraffic) {
+  Topology topo = Topology::cray_ex(2);  // 64 ranks, 32 per node
+  const auto p = static_cast<std::size_t>(topo.num_ranks());
+  sim::ClockSet clocks(p);
+  runtime::TrafficLedger ledger(topo);
+  ledger.send(0, 1, 1000);   // intra-node
+  ledger.send(0, 40, 5000);  // inter-node
+  ledger.send(33, 0, 7000);  // inter-node, into rank 0
+  ledger.charge(clocks);
+
+  std::vector<runtime::TrafficSummary> want(p);
+  want[0] = {.intra_sent = 1000, .inter_sent = 5000, .inter_recv = 7000,
+             .messages = 2};
+  want[1] = {.intra_recv = 1000};
+  want[40] = {.inter_recv = 5000};
+  want[33] = {.inter_sent = 7000, .messages = 1};
+  EXPECT_EQ(clocks.max(), hand_charged(topo, want));
+  // Rank 0's receive side is its largest inter-node share: dropping it
+  // must change the charge, so received bytes were booked.
+  want[0].inter_recv = 0;
+  EXPECT_NE(clocks.max(), hand_charged(topo, want));
+}
+
+TEST(Exchange, LedgerBooksOneMessagePerNonEmptyPair) {
+  Topology topo = Topology::cray_ex(2);
+  const auto p = static_cast<std::size_t>(topo.num_ranks());
+  sim::ClockSet clocks(p);
+  runtime::TrafficLedger ledger(topo);
+  for (int dst = 1; dst < 32; ++dst) ledger.send(0, dst, 8);
+
+  std::vector<runtime::TrafficSummary> want(p);
+  want[0] = {.intra_sent = 31 * 8, .messages = 31};
+  for (std::size_t dst = 1; dst < 32; ++dst) want[dst].intra_recv = 8;
+  ledger.charge(clocks);
+  EXPECT_EQ(clocks.max(), hand_charged(topo, want));
+}
+
+TEST(Exchange, LedgerCostGrowsWithBytes) {
+  Topology topo = Topology::cray_ex(2);
+  const int p = topo.num_ranks();
+  auto run = [&](std::uint64_t bytes) {
     sim::ClockSet clocks(static_cast<std::size_t>(p));
-    std::vector<std::vector<std::vector<std::uint64_t>>> send(
-        static_cast<std::size_t>(p),
-        std::vector<std::vector<std::uint64_t>>(static_cast<std::size_t>(p)));
-    for (int d = 0; d < p; ++d) {
-      send[0][static_cast<std::size_t>(d)].assign(items, 7);
-    }
-    runtime::alltoallv(clocks, topo, send);
+    runtime::TrafficLedger ledger(topo);
+    for (int dst = 1; dst < p; ++dst) ledger.send(0, dst, bytes);
+    ledger.charge(clocks);
     return clocks.max();
   };
-  EXPECT_GT(run(10000), run(10));
+  EXPECT_GT(run(80000), run(80));
+}
+
+TEST(Exchange, LedgerChargeSynchronizesClocks) {
+  Topology topo = Topology::cray_ex(2);
+  const int p = topo.num_ranks();
+  sim::ClockSet clocks(static_cast<std::size_t>(p));
+  clocks.at(5).advance(sim::from_millis(3.0));  // a straggler
+  runtime::TrafficLedger ledger(topo);
+  ledger.send(0, 63, 1 << 16);
+  ledger.charge(clocks);
+  EXPECT_EQ(clocks.min(), clocks.max());
+  EXPECT_GE(clocks.max(), sim::from_millis(3.0));
 }
 
 TEST(Exchange, ChargeTrafficIntraCheaperThanInter) {
@@ -158,18 +194,6 @@ TEST(Exchange, ChargeTrafficIntraCheaperThanInter) {
   runtime::charge_traffic(intra, topo, ti);
   runtime::charge_traffic(inter, topo, te);
   EXPECT_LT(intra.now(), inter.now());
-}
-
-TEST(Exchange, AllreduceCombinesAndCharges) {
-  Topology topo = Topology::cray_ex(1);
-  const int p = topo.num_ranks();
-  sim::ClockSet clocks(static_cast<std::size_t>(p));
-  std::vector<std::uint64_t> vals(static_cast<std::size_t>(p));
-  std::iota(vals.begin(), vals.end(), 0);
-  std::uint64_t sum = runtime::allreduce(
-      clocks, topo, vals, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(p) * (p - 1) / 2);
-  EXPECT_GT(clocks.max(), 0u);
 }
 
 TEST(Exchange, TreeCollectiveScalesLogarithmically) {

@@ -399,9 +399,9 @@ TEST(Trace, SpanTreeAndAttrs) {
 TEST(Trace, CapDropsExcessSpansAndNoSpanIsInert) {
   Tracer tracer(/*max_spans=*/2);
   EXPECT_NE(tracer.begin_span("a", "x", kNoSpan, -1, 0), kNoSpan);
-  EXPECT_NE(tracer.record_span("b", "x", kNoSpan, -1, 0, 1, 0, 1), kNoSpan);
+  EXPECT_NE(tracer.begin_span("b", "x", kNoSpan, -1, 0), kNoSpan);
   EXPECT_EQ(tracer.begin_span("c", "x", kNoSpan, -1, 0), kNoSpan);
-  EXPECT_EQ(tracer.record_span("d", "x", kNoSpan, -1, 0, 1, 0, 1), kNoSpan);
+  EXPECT_EQ(tracer.begin_span("d", "x", kNoSpan, -1, 0), kNoSpan);
   tracer.end_span(kNoSpan, 5);                     // no-op
   tracer.add_attr(kNoSpan, "k", std::uint64_t{1});  // no-op
   EXPECT_EQ(tracer.size(), 2u);
@@ -461,13 +461,10 @@ TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
   // counter agree exactly.
   EXPECT_EQ(tracer.dropped(), 3u);
   EXPECT_EQ(dropped->value(), 3u);
-  // record_span drops are counted through the same series.
-  tracer.record_span("r", "stage", kNoSpan, -1, 0, 1, 0, 1);
-  EXPECT_EQ(dropped->value(), 4u);
   // clear() resets the tracer but not the monotonic counter.
   tracer.clear();
   EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(dropped->value(), 4u);
+  EXPECT_EQ(dropped->value(), 3u);
 }
 
 TEST(Trace, RingRetainsNewestEntriesWithSequences) {
