@@ -38,7 +38,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/obs_server.h"
 #include "telemetry/profiler.h"
-#include "telemetry/query_stats.h"
+#include "telemetry/query_log.h"
 #include "telemetry/trace.h"
 
 using namespace ids;
@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   cache::CacheManager cache(cc);
 
   telemetry::Tracer tracer;
-  telemetry::TraceRing trace_ring;
-  telemetry::QueryStatsRing query_stats;
+  telemetry::QueryLog query_log;
 
   core::EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
@@ -122,13 +121,11 @@ int main(int argc, char** argv) {
   // The obs server's /tracez needs span trees, so --serve-obs implies
   // tracing even without a --trace output file.
   if (trace_path != nullptr || obs_port >= 0) opts.tracer = &tracer;
-  opts.trace_ring = &trace_ring;
-  opts.query_stats = &query_stats;
+  opts.query_log = &query_log;
 
   telemetry::ObsServerOptions obs_opts;
   obs_opts.port = static_cast<std::uint16_t>(obs_port > 0 ? obs_port : 0);
-  obs_opts.traces = &trace_ring;
-  obs_opts.query_stats = &query_stats;
+  obs_opts.query_log = &query_log;
 #ifdef NDEBUG
   obs_opts.build_type = "Release";
 #else

@@ -26,7 +26,7 @@ struct CacheStats {
   std::uint64_t bytes_written = 0;
 
   // Read-path payload bytes by serving tier (they sum to bytes_read).
-  // Feeds per-query TierBytes accounting in telemetry/query_stats.h.
+  // Feeds per-query TierBytes accounting in telemetry/query_log.h.
   std::uint64_t read_bytes_local_dram = 0;
   std::uint64_t read_bytes_local_ssd = 0;
   std::uint64_t read_bytes_remote_dram = 0;

@@ -122,7 +122,7 @@ class QueryExecution {
     stage_wall_start_ = query_wall_start_;
     if (opts_.cache != nullptr) cache_query_baseline_ = opts_.cache->stats();
     if (tracer_ != nullptr) {
-      // First span index of this query, so the trace ring gets exactly
+      // First span index of this query, so the query log gets exactly
       // this query's tree out of a tracer shared across queries.
       trace_base_ = tracer_->size();
       root_span_ =
@@ -173,12 +173,13 @@ class QueryExecution {
                         result_.account.divergence_seconds());
       tracer_->end_span(root_span_, last_mark_, wall_end);
     }
-    if (opts_.query_stats != nullptr) {
-      result_.account.sequence = opts_.query_stats->push(result_.account);
-    }
-    if (opts_.trace_ring != nullptr && tracer_ != nullptr) {
-      opts_.trace_ring->push(tracer_->snapshot_tail(trace_base_),
-                             tracer_->dropped());
+    if (opts_.query_log != nullptr) {
+      telemetry::QueryRecord record{result_.account, {}, 0};
+      if (tracer_ != nullptr) {
+        record.spans = tracer_->snapshot_tail(trace_base_);
+        record.dropped = tracer_->dropped();
+      }
+      result_.account.sequence = opts_.query_log->push(std::move(record));
     }
     return std::move(result_);
   }
@@ -297,10 +298,8 @@ class QueryExecution {
 
   /// Charges modeled *compute* time, scaled by the rank's speed factor.
   void charge_compute(int r, sim::Nanos raw) {
-    double s = speed(r);
     clocks_.at(static_cast<std::size_t>(r))
-        .advance(static_cast<sim::Nanos>(static_cast<double>(raw) /
-                                         (s > 0.0 ? s : 1.0)));
+        .advance(static_cast<sim::Nanos>(static_cast<double>(raw) / speed(r)));
   }
 
   /// Graph-operator compute: scaled by the scale-model multiplier (one
@@ -1031,15 +1030,41 @@ class QueryExecution {
     return payload;
   }
 
+  /// "<cache_prefix>/<arg>/<arg>..." with every argument encoded exactly
+  /// and by type, so distinct argument lists never share a key (a shared
+  /// key would serve one argument's cached result for another). Entities
+  /// render as their dictionary name (instance-portable). Every other
+  /// value starts with a backslash and a type tag, which no escaped name
+  /// can start with: i integer, d double (%.17g, exact round trip),
+  /// s string, b bool, 0 null. Names and strings escape backslash and
+  /// '/' with a backslash, so argument boundaries stay unambiguous.
   std::string render_cache_key(const InvokeClause& inv,
                                const std::vector<expr::Value>& args) const {
+    auto append_escaped = [](std::string& out, std::string_view text) {
+      for (char c : text) {
+        if (c == '/' || c == '\\') out += '\\';
+        out += c;
+      }
+    };
     std::string key = inv.cache_prefix;
     for (const auto& a : args) {
       key += '/';
       if (const auto* e = std::get_if<expr::Entity>(&a)) {
-        key += triples_->dict().name(e->id);  // name-based, instance-portable
+        append_escaped(key, triples_->dict().name(e->id));
+      } else if (const auto* i = std::get_if<std::int64_t>(&a)) {
+        key += "\\i";
+        key += std::to_string(*i);
+      } else if (const auto* d = std::get_if<double>(&a)) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "\\d%.17g", *d);
+        key += buf;
+      } else if (const auto* str = std::get_if<std::string>(&a)) {
+        key += "\\s";
+        append_escaped(key, *str);
+      } else if (const auto* b = std::get_if<bool>(&a)) {
+        key += *b ? "\\b1" : "\\b0";
       } else {
-        key += expr::to_string(a);
+        key += "\\0";
       }
     }
     return key;
@@ -1109,19 +1134,9 @@ class QueryExecution {
           // Execute the model (a cache miss falls back to re-running the
           // simulation, the paper's "last resort on a total miss").
           RankOp exec = op.call(info->name, "udf");
-          ctx.cost += registry_->charge_module_load(r, *info);
-          const udf::UdfResult res = [&] {
-            // Attribute model execution to the UDF by name; UdfInfo
-            // outlives every query, so the pointer stays valid for the
-            // profiler.
-            telemetry::ProfileScope udf_scope(info->name.c_str());
-            return info->fn(ctx.udf_ctx, args);
-          }();
-          auto scaled = static_cast<sim::Nanos>(
-              static_cast<double>(res.modeled_cost) /
-              (speed(r) > 0.0 ? speed(r) : 1.0));
-          ctx.cost += scaled;
-          profiler_->record_exec(r, info->name, scaled);
+          const udf::UdfResult res =
+              registry_->call(*info, ctx.udf_ctx, args, speed(r), profiler_);
+          ctx.cost += res.modeled_cost;
           double out = 0.0;
           expr::as_double(res.value, &out);
           value = out;
@@ -1265,6 +1280,15 @@ IdsEngine::IdsEngine(EngineOptions options, graph::TripleStore* triples,
                     : &telemetry::MetricsRegistry::global()) {
   IDS_CHECK(triples_->num_shards() == options_.topology.num_ranks())
       << "store sharding must match the rank count";
+  // Every rank speed is read unguarded on the charge paths below.
+  const runtime::HeteroProfile& hetero = options_.hetero;
+  IDS_CHECK(hetero.num_ranks() == 0 ||
+            hetero.num_ranks() == options_.topology.num_ranks())
+      << "hetero profile has " << hetero.num_ranks() << " speeds for "
+      << options_.topology.num_ranks() << " ranks";
+  IDS_CHECK(std::all_of(hetero.speeds().begin(), hetero.speeds().end(),
+                        [](double s) { return s > 0.0; }))
+      << "hetero profile speeds must be positive";
 }
 
 QueryResult IdsEngine::execute(const Query& query) {

@@ -29,7 +29,7 @@
 #include "store/inverted_index.h"
 #include "store/vector_store.h"
 #include "telemetry/metrics.h"
-#include "telemetry/query_stats.h"
+#include "telemetry/query_log.h"
 #include "telemetry/trace.h"
 #include "udf/profiler.h"
 #include "udf/registry.h"
@@ -70,12 +70,11 @@ struct EngineOptions {
   /// ids_engine_stage_seconds, ids_engine_rebalance_total). nullptr = the
   /// process-global registry.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Observability rings (see src/telemetry): when set, every execute()
-  /// pushes its completed span tree / resource account, feeding the obs
-  /// server's /tracez and /statusz. The trace ring only receives spans
-  /// when `tracer` is also set.
-  telemetry::TraceRing* trace_ring = nullptr;
-  telemetry::QueryStatsRing* query_stats = nullptr;
+  /// Finished-query log (see src/telemetry/query_log.h): when set, every
+  /// execute() pushes one record — its resource account, plus its span
+  /// tree when `tracer` is also set — feeding the obs server's /statusz
+  /// and /tracez. The log assigns `QueryResult::account.sequence`.
+  telemetry::QueryLog* query_log = nullptr;
   std::uint64_t seed = 0x1D5;
 };
 

@@ -1,7 +1,6 @@
 #include "expr/expr.h"
 
 #include "store/feature_store.h"
-#include "telemetry/profiler.h"
 
 namespace ids::expr {
 
@@ -222,22 +221,9 @@ Value eval_udf(const Expr& e, EvalContext& ctx) {
   args.reserve(e.children().size());
   for (const auto& c : e.children()) args.push_back(eval(*c, ctx));
 
-  // First touch of a dynamic module on this rank pays the import cost.
-  ctx.cost += ctx.registry->charge_module_load(ctx.udf_ctx.rank, *info);
-
-  const udf::UdfResult r = [&] {
-    // Attribute execution to the UDF by name; UdfInfo outlives every
-    // query, so the pointer stays valid for the profiler.
-    telemetry::ProfileScope udf_scope(info->name.c_str());
-    return info->fn(ctx.udf_ctx, args);
-  }();
-  auto scaled = static_cast<sim::Nanos>(
-      static_cast<double>(r.modeled_cost) /
-      (ctx.speed_factor > 0.0 ? ctx.speed_factor : 1.0));
-  ctx.cost += scaled;
-  if (ctx.profiler) {
-    ctx.profiler->record_exec(ctx.udf_ctx.rank, info->name, scaled);
-  }
+  udf::UdfResult r = ctx.registry->call(*info, ctx.udf_ctx, args,
+                                        ctx.speed_factor, ctx.profiler);
+  ctx.cost += r.modeled_cost;
   return std::move(r.value);
 }
 

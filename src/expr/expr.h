@@ -90,9 +90,9 @@ struct EvalContext {
   udf::UdfRegistry* registry = nullptr;
   udf::UdfProfiler* profiler = nullptr;
   udf::UdfContext udf_ctx;
-  /// Relative speed of the executing rank (runtime::HeteroProfile); modeled
-  /// UDF costs are divided by it before charging and profiling, so the
-  /// profiler observes each rank's *effective* throughput (§2.4.2).
+  /// Relative speed (> 0) of the executing rank (runtime::HeteroProfile);
+  /// modeled UDF costs are divided by it before charging and profiling, so
+  /// the profiler observes each rank's *effective* throughput (§2.4.2).
   double speed_factor = 1.0;
   sim::Nanos cost = 0;
 };

@@ -34,6 +34,8 @@ class HeteroProfile {
   int num_ranks() const { return static_cast<int>(speed_.size()); }
 
   /// Relative speed of `rank`; 1.0 if the profile is empty (homogeneous).
+  /// Unchecked: IdsEngine's constructor requires a non-empty profile to
+  /// cover every rank of its topology, with every speed above 0.
   double at(int rank) const {
     if (speed_.empty()) return 1.0;
     return speed_[static_cast<std::size_t>(rank)];

@@ -13,7 +13,7 @@
 
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
-#include "telemetry/query_stats.h"
+#include "telemetry/query_log.h"
 #include "telemetry/trace.h"
 
 namespace ids::telemetry {
@@ -230,8 +230,8 @@ ObsServer::Response ObsServer::handle_statusz() const {
   os << "{\"build_type\":\"" << options_.build_type << "\",\"simd_level\":\""
      << options_.simd_level
      << "\",\"uptime_seconds\":" << format_double(uptime) << ",\"queries\":";
-  if (options_.query_stats != nullptr) {
-    os << options_.query_stats->to_json();
+  if (options_.query_log != nullptr) {
+    os << options_.query_log->accounts_json();
   } else {
     os << "{\"total\":0,\"recent\":[]}";
   }
@@ -240,15 +240,16 @@ ObsServer::Response ObsServer::handle_statusz() const {
 }
 
 ObsServer::Response ObsServer::handle_tracez(std::string_view query) const {
-  if (options_.traces == nullptr) {
+  if (options_.query_log == nullptr) {
     return Response{200, "text/plain; charset=utf-8",
-                    "tracez: no trace ring attached\n"};
+                    "tracez: no query log attached\n"};
   }
   if (fmt_param(query) == "json") {
-    return Response{200, "application/json", options_.traces->to_chrome_json()};
+    return Response{200, "application/json",
+                    options_.query_log->newest_trace_json()};
   }
   return Response{200, "text/plain; charset=utf-8",
-                  options_.traces->to_text_report()};
+                  options_.query_log->traces_text()};
 }
 
 ObsServer::Response ObsServer::handle_profilez(std::string_view query) const {

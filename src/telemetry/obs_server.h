@@ -7,16 +7,17 @@
 // It exists so a running engine can be inspected with nothing but curl:
 //
 //   /metrics   Prometheus text exposition of the metrics registry.
-//   /statusz   JSON: build type, SIMD level, uptime, recent query
-//              resource accounts, full registry snapshot.
-//   /tracez    Text report of the most recent completed query span
-//              trees (?fmt=json -> Chrome trace JSON of the newest).
+//   /statusz   JSON: build type, SIMD level, uptime, the resource
+//              accounts of the query log's records, full registry
+//              snapshot.
+//   /tracez    Text report of the span trees of the same records
+//              (?fmt=json -> Chrome trace JSON of the newest).
 //   /profilez  Sampling-profiler top table (?fmt=folded -> collapsed
 //              flamegraph stacks).
 //
 // Design constraints, in order:
 //   * Never perturb the engine: every handler works from thread-safe
-//     snapshots (registry exporters, ring snapshots); the server holds
+//     snapshots (registry exporters, query log snapshots); the server holds
 //     no lock across any socket call.
 //   * Sockets stay confined to src/telemetry/ — tools/lint.sh bans
 //     <sys/socket.h> and friends elsewhere in src/, and the blocking
@@ -42,8 +43,7 @@ namespace ids::telemetry {
 
 class MetricsRegistry;
 class Profiler;
-class TraceRing;
-class QueryStatsRing;
+class QueryLog;
 
 struct ObsServerOptions {
   /// Loopback only by default. "0.0.0.0" opts into external exposure.
@@ -54,9 +54,9 @@ struct ObsServerOptions {
   /// nullptr -> the process-global registry / profiler.
   MetricsRegistry* metrics = nullptr;
   Profiler* profiler = nullptr;
-  /// Optional rings; endpoints degrade gracefully when absent.
-  TraceRing* traces = nullptr;
-  QueryStatsRing* query_stats = nullptr;
+  /// Optional finished-query log behind /statusz and /tracez; both
+  /// endpoints degrade gracefully when absent.
+  QueryLog* query_log = nullptr;
 
   /// Stamped into /statusz. Strings (not queried here) because the
   /// telemetry library sits below common/ and cannot call simd::.

@@ -62,8 +62,8 @@ struct Span {
 };
 
 /// Chrome trace_event JSON for a span list (see Tracer::to_chrome_json).
-/// Free function so ring-buffered snapshots (TraceRing, /tracez) render
-/// with the exact same layout as a live Tracer.
+/// Free function so logged span trees (QueryLog, /tracez) render with the
+/// exact same layout as a live Tracer.
 std::string spans_to_chrome_json(const std::vector<Span>& spans,
                                  std::uint64_t dropped);
 
@@ -135,46 +135,6 @@ class Tracer {
   mutable Mutex mutex_;
   std::vector<Span> spans_ IDS_GUARDED_BY(mutex_);
   std::uint64_t dropped_ IDS_GUARDED_BY(mutex_) = 0;
-};
-
-/// Bounded ring of the most recent completed query span trees, feeding
-/// the observability server's /tracez endpoint. The engine pushes one
-/// entry per execute() (its query's spans plus the tracer's dropped
-/// count); the oldest entry falls out once `capacity` is reached.
-/// Thread-safe: queries push while HTTP scrapes snapshot.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity = 8);
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
-  struct Entry {
-    std::uint64_t sequence = 0;  // 1-based completion index
-    std::vector<Span> spans;
-    std::uint64_t dropped = 0;
-  };
-
-  void push(std::vector<Span> spans, std::uint64_t dropped)
-      IDS_EXCLUDES(mutex_);
-
-  /// Retained entries, oldest first.
-  std::vector<Entry> snapshot() const IDS_EXCLUDES(mutex_);
-  /// Entries ever pushed (>= retained count).
-  std::uint64_t total_pushed() const IDS_EXCLUDES(mutex_);
-  std::size_t capacity() const { return capacity_; }
-
-  /// Text report of every retained trace, newest first, each under a
-  /// "trace #<sequence>" header.
-  std::string to_text_report() const IDS_EXCLUDES(mutex_);
-  /// Chrome JSON of the most recent retained trace (empty trace when the
-  /// ring is empty).
-  std::string to_chrome_json() const IDS_EXCLUDES(mutex_);
-
- private:
-  const std::size_t capacity_;
-  mutable Mutex mutex_;
-  std::vector<Entry> entries_ IDS_GUARDED_BY(mutex_);  // oldest first
-  std::uint64_t total_pushed_ IDS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace ids::telemetry

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "telemetry/metrics.h"
+#include "telemetry/profiler.h"
+#include "udf/profiler.h"
 
 namespace ids::udf {
 
@@ -63,6 +65,23 @@ sim::Nanos UdfRegistry::charge_module_load(int rank, const UdfInfo& info) {
         ->inc();
   }
   return inserted ? info.module_load_cost : 0;
+}
+
+UdfResult UdfRegistry::call(const UdfInfo& info, const UdfContext& ctx,
+                            std::span<const expr::Value> args, double speed,
+                            UdfProfiler* profiler) {
+  const sim::Nanos load = charge_module_load(ctx.rank, info);
+  UdfResult r = [&] {
+    // Attribute execution to the UDF by name; UdfInfo outlives every
+    // query, so the pointer stays valid for the profiler.
+    telemetry::ProfileScope udf_scope(info.name.c_str());
+    return info.fn(ctx, args);
+  }();
+  const auto scaled = static_cast<sim::Nanos>(
+      static_cast<double>(r.modeled_cost) / speed);
+  if (profiler != nullptr) profiler->record_exec(ctx.rank, info.name, scaled);
+  r.modeled_cost = load + scaled;
+  return r;
 }
 
 void UdfRegistry::force_reload(std::string_view module) {

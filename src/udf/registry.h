@@ -32,6 +32,8 @@ class VectorStore;
 
 namespace ids::udf {
 
+class UdfProfiler;  // udf/profiler.h
+
 /// Read-only services a UDF may use, plus the rank identity and a
 /// deterministic per-call RNG stream.
 struct UdfContext {
@@ -83,6 +85,16 @@ class UdfRegistry {
   /// (the module import on first touch), and marks the module loaded.
   sim::Nanos charge_module_load(int rank, const UdfInfo& info)
       IDS_EXCLUDES(mutex_);
+
+  /// Executes `info` once on rank `ctx.rank` under the one call protocol
+  /// FILTER and INVOKE share: the module-load charge on first touch, a
+  /// profiler scope named after the UDF, the modeled cost divided by the
+  /// rank's `speed` (> 0), and that scaled cost recorded in `profiler`
+  /// (when set). Returns the UDF's value and the modeled cost the caller
+  /// charges: the load charge plus the scaled execution cost.
+  UdfResult call(const UdfInfo& info, const UdfContext& ctx,
+                 std::span<const expr::Value> args, double speed,
+                 UdfProfiler* profiler) IDS_EXCLUDES(mutex_);
 
   /// Drops the module from every rank's cache; next call per rank pays the
   /// load cost again. Models the paper's "special function that forces IDS

@@ -1,11 +1,14 @@
 // End-to-end engine tests on small hand-checkable graphs: operator
 // correctness, FILTER semantics and planner invariance, rebalancing
 // effects under heterogeneity, DISTINCT, INVOKE with and without the
-// global cache, and stage timing accounting.
+// global cache (including exact cache keys), stage timing accounting,
+// and the constructor's checks on its options.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <functional>
 #include <set>
 
 #include "core/engine.h"
@@ -399,6 +402,125 @@ TEST_F(EngineFixture, DeterministicAcrossRuns) {
   auto b = run();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+using EngineFixtureDeathTest = EngineFixture;
+
+TEST_F(EngineFixtureDeathTest, HeteroProfileMustCoverEveryRankAtPositiveSpeed) {
+  // A profile shorter than the topology would be read past its end, and a
+  // speed of 0 or below would divide every modeled cost by it.
+  EngineOptions short_profile;
+  short_profile.hetero = runtime::HeteroProfile::uniform(kRanks - 1, 1.0);
+  EXPECT_DEATH((void)make_engine(short_profile),
+               "hetero profile has 3 speeds for 4 ranks");
+  EngineOptions zero_speed;
+  zero_speed.hetero =
+      runtime::HeteroProfile::groups({{kRanks - 1, 1.0}, {1, 0.0}});
+  EXPECT_DEATH((void)make_engine(zero_speed),
+               "hetero profile speeds must be positive");
+}
+
+TEST(InvokeCacheKeys, CollidingRenderingsNeverShareACachedResult) {
+  constexpr int kRanks = 2;
+  graph::TripleStore triples(kRanks);
+  store::FeatureStore features(kRanks);
+  triples.add("probe", "type", "Probe");  // one row per query
+  // Entity names may hold the key's separator and escape characters.
+  const std::vector<std::string> names = {"a/b", "c",   "a",   "b/c",
+                                          "a\\", "a/b\\", "\\i1"};
+  for (const auto& name : names) triples.add(name, "label", "arg");
+  triples.finalize();
+  features.freeze();
+  const graph::Dictionary& dict = triples.dict();
+  auto entity = [&dict](const char* name) -> expr::Value {
+    return expr::Entity{*dict.lookup(name)};
+  };
+
+  // Each consecutive pair shares one key under a lossy rendering: '/'
+  // inside names and strings, %g doubles, and integer 1 vs double 1.0.
+  // The backslash pair would collide if only '/' were escaped.
+  const std::vector<std::vector<expr::Value>> arg_lists = {
+      {entity("a/b"), entity("c")},
+      {entity("a"), entity("b/c")},
+      {std::string("a/b"), std::string("c")},
+      {std::string("a"), std::string("b/c")},
+      {0.1234567},
+      {0.1234568},
+      {std::int64_t{1}},
+      {1.0},
+      {entity("a\\"), entity("b/c")},
+      {entity("a/b\\"), entity("c")},
+      {entity("\\i1")},
+      {std::int64_t{1}},  // a repeat: must hit
+  };
+
+  // The UDF's value fingerprints its exact argument list (types, values
+  // and boundaries), so a cached value served for another list shows.
+  auto fingerprint = [&dict](const udf::UdfContext&,
+                             std::span<const expr::Value> args) {
+    std::string text;
+    for (const auto& a : args) {
+      text += std::to_string(a.index());
+      text += ':';
+      if (const auto* e = std::get_if<expr::Entity>(&a)) {
+        text += dict.name(e->id);
+      } else if (const auto* d = std::get_if<double>(&a)) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", *d);
+        text += buf;
+      } else {
+        text += expr::to_string(a);
+      }
+      text += '|';
+    }
+    return udf::UdfResult{
+        static_cast<double>(std::hash<std::string>{}(text) % 1000003),
+        sim::from_millis(1)};
+  };
+
+  auto run = [&](bool use_cache) {
+    telemetry::MetricsRegistry reg;
+    cache::CacheConfig cc;
+    cc.num_nodes = 2;
+    cc.metrics = &reg;
+    cache::CacheManager cache(cc);
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = &cache;
+    opts.metrics = &reg;
+    IdsEngine eng(opts, &triples, &features);
+    eng.registry().register_static("fingerprint", fingerprint);
+
+    std::vector<double> values;
+    std::size_t hits = 0;
+    for (const auto& args : arg_lists) {
+      Query q;
+      q.patterns.push_back({PatternTerm::Var("p"),
+                            PatternTerm::Const(*dict.lookup("type")),
+                            PatternTerm::Const(*dict.lookup("Probe"))});
+      InvokeClause inv;
+      inv.udf = "fingerprint";
+      for (const auto& a : args) inv.args.push_back(Expr::Constant(a));
+      inv.out_var = "v";
+      inv.use_cache = use_cache;
+      inv.cache_prefix = "fp";
+      q.invokes.push_back(inv);
+      const QueryResult r = eng.execute(q);
+      EXPECT_EQ(r.solutions.num_rows(), 1u);
+      values.push_back(r.solutions.num_at(0, r.solutions.num_var_index("v")));
+      hits += r.cache_hits;
+    }
+    return std::make_pair(values, hits);
+  };
+
+  const auto [uncached, no_hits] = run(false);
+  for (std::size_t i = 0; i + 2 < uncached.size(); i += 2) {
+    EXPECT_NE(uncached[i], uncached[i + 1]) << "pair " << i / 2;
+  }
+  EXPECT_EQ(no_hits, 0u);
+  const auto [cached, hits] = run(true);
+  EXPECT_EQ(cached, uncached);
+  EXPECT_EQ(hits, 1u);  // only the repeated argument list
 }
 
 }  // namespace

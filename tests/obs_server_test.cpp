@@ -30,7 +30,7 @@
 #include "core/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/obs_server.h"
-#include "telemetry/query_stats.h"
+#include "telemetry/query_log.h"
 #include "telemetry/trace.h"
 
 namespace ids::telemetry {
@@ -110,15 +110,15 @@ TEST(ObsServerHandle, MetricsBodyIsTheRegistryExpositionExactly) {
 
 TEST(ObsServerHandle, StatuszCarriesBuildInfoAndQueryAccounts) {
   MetricsRegistry reg;
-  QueryStatsRing ring;
-  QueryResourceAccount account;
-  account.modeled_seconds = 2.0;
-  account.wall_seconds = 0.5;
-  ring.push(std::move(account));
+  QueryLog log;
+  QueryRecord record;
+  record.account.modeled_seconds = 2.0;
+  record.account.wall_seconds = 0.5;
+  log.push(std::move(record));
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.query_stats = &ring;
+  opts.query_log = &log;
   opts.build_type = "Release";
   opts.simd_level = "avx2";
   ObsServer server(opts);
@@ -134,7 +134,7 @@ TEST(ObsServerHandle, StatuszCarriesBuildInfoAndQueryAccounts) {
   EXPECT_NE(body.find("\"metrics\":{"), std::string::npos);
 }
 
-TEST(ObsServerHandle, StatuszWithoutRingDegradesGracefully) {
+TEST(ObsServerHandle, StatuszWithoutLogDegradesGracefully) {
   MetricsRegistry reg;
   ObsServerOptions opts;
   opts.metrics = &reg;
@@ -142,21 +142,21 @@ TEST(ObsServerHandle, StatuszWithoutRingDegradesGracefully) {
   EXPECT_NE(server.handle("/statusz").find(
                 "\"queries\":{\"total\":0,\"recent\":[]}"),
             std::string::npos);
-  EXPECT_NE(server.handle("/tracez").find("no trace ring attached"),
+  EXPECT_NE(server.handle("/tracez").find("no query log attached"),
             std::string::npos);
 }
 
-TEST(ObsServerHandle, TracezRendersRingInBothFormats) {
+TEST(ObsServerHandle, TracezRendersLogInBothFormats) {
   MetricsRegistry reg;
-  TraceRing ring;
+  QueryLog log;
   Tracer tracer(/*max_spans=*/16, &reg);
   const SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
   tracer.end_span(root, 1000);
-  ring.push(tracer.snapshot(), tracer.dropped());
+  log.push({QueryResourceAccount{}, tracer.snapshot(), tracer.dropped()});
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.traces = &ring;
+  opts.query_log = &log;
   ObsServer server(opts);
 
   EXPECT_NE(server.handle("/tracez").find("trace #1"), std::string::npos);
@@ -268,9 +268,19 @@ struct SharedGraph {
   std::unique_ptr<store::FeatureStore> features;
 };
 
+/// Sequence of the newest account in a /statusz body; 0 when none.
+std::uint64_t newest_statusz_sequence(const std::string& statusz) {
+  const std::string marker = "\"recent\":[{\"sequence\":";
+  const std::size_t at = statusz.find(marker);
+  if (at == std::string::npos) return 0;
+  return std::stoull(statusz.substr(at + marker.size()));
+}
+
 TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 6;
+  constexpr std::uint64_t kQueries =
+      static_cast<std::uint64_t>(kThreads) * kQueriesPerThread;
 
   SharedGraph graph;
   MetricsRegistry reg;
@@ -278,31 +288,29 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   cc.num_nodes = 2;
   cc.metrics = &reg;
   cache::CacheManager cache(cc);
-  TraceRing traces;
-  QueryStatsRing query_stats;
+  QueryLog log(/*capacity=*/kQueries);  // retains every query of the run
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.traces = &traces;
-  opts.query_stats = &query_stats;
+  opts.query_log = &log;
   ObsServer server(opts);
   ASSERT_TRUE(server.start().ok());
   const std::uint16_t port = server.port();
 
-  // kThreads engines execute queries into the shared cache/registry/rings
-  // while the main thread scrapes over loopback the whole time.
+  // kThreads engines, each with its own tracer, execute queries into the
+  // shared cache/registry/log while the main thread scrapes over loopback
+  // the whole time.
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&graph, &cache, &reg, &traces, &query_stats] {
+    workers.emplace_back([&graph, &cache, &reg, &log] {
       Tracer tracer(/*max_spans=*/1u << 12, &reg);
       EngineOptions eo;
       eo.topology = runtime::Topology::laptop(SharedGraph::kRanks);
       eo.cache = &cache;
       eo.metrics = &reg;
       eo.tracer = &tracer;
-      eo.trace_ring = &traces;
-      eo.query_stats = &query_stats;
+      eo.query_log = &log;
       IdsEngine engine(eo, graph.triples.get(), graph.features.get());
       for (int i = 0; i < kQueriesPerThread; ++i) {
         core::QueryResult r = engine.execute(graph.query());
@@ -313,25 +321,54 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   }
 
   int scrapes = 0;
-  while (query_stats.total_pushed() <
-         static_cast<std::uint64_t>(kThreads) * kQueriesPerThread) {
+  while (log.total_pushed() < kQueries) {
     const std::string metrics = http_get(port, "/metrics");
     ASSERT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
     const std::string statusz = http_get(port, "/statusz");
     ASSERT_NE(statusz.find("\"queries\":{\"total\":"), std::string::npos);
-    ASSERT_NE(http_get(port, "/tracez").find("HTTP/1.1 200 OK"),
-              std::string::npos);
+    const std::string tracez = http_get(port, "/tracez");
+    ASSERT_NE(tracez.find("HTTP/1.1 200 OK"), std::string::npos);
+    // The newest account /statusz showed is on /tracez under its own
+    // number (the log retains every record, so a later scrape has it).
+    const std::uint64_t newest = newest_statusz_sequence(statusz);
+    if (newest > 0) {
+      std::string header = "=== trace #";
+      header += std::to_string(newest);
+      header += " ===";
+      EXPECT_NE(tracez.find(header), std::string::npos)
+          << "statusz sequence " << newest << " missing from /tracez";
+    }
     ++scrapes;
   }
   for (auto& w : workers) w.join();
   EXPECT_GT(scrapes, 0);
 
-  // After the dust settles the shared state is consistent: every query
-  // pushed one account and the engine counter matches.
-  EXPECT_EQ(query_stats.total_pushed(),
-            static_cast<std::uint64_t>(kThreads) * kQueriesPerThread);
-  EXPECT_EQ(traces.total_pushed(),
-            static_cast<std::uint64_t>(kThreads) * kQueriesPerThread);
+  // One log, one numbering: the records run 1..N with no gap, and each
+  // record's span tree is its own query's. The stage spans match the
+  // record's account.stages by name and order, and on wall time exactly
+  // (both come from the same stamps, and wall time differs per query).
+  const std::vector<QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), kQueries);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const QueryRecord& record = records[i];
+    EXPECT_EQ(record.account.sequence, i + 1);
+    EXPECT_EQ(record.dropped, 0u);
+    std::vector<const Span*> stage_spans;
+    for (const Span& s : record.spans) {
+      if (s.category == "stage") stage_spans.push_back(&s);
+    }
+    const auto& stages = record.account.stages;
+    ASSERT_FALSE(stages.empty());
+    ASSERT_EQ(stage_spans.size(), stages.size()) << "record " << i + 1;
+    for (std::size_t j = 0; j < stages.size(); ++j) {
+      EXPECT_EQ(stage_spans[j]->name, stages[j].stage);
+      EXPECT_EQ(static_cast<double>(stage_spans[j]->wall_end_ns -
+                                    stage_spans[j]->wall_start_ns) *
+                    1e-9,
+                stages[j].wall_seconds)
+          << "record " << i + 1 << " stage " << stages[j].stage;
+    }
+  }
   const std::string final_scrape = http_get(port, "/metrics");
   EXPECT_NE(final_scrape.find("ids_engine_queries_total 24"),
             std::string::npos)

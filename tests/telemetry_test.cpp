@@ -21,7 +21,7 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "telemetry/metrics.h"
-#include "telemetry/query_stats.h"
+#include "telemetry/query_log.h"
 #include "telemetry/trace.h"
 
 namespace ids::telemetry {
@@ -467,44 +467,6 @@ TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
   EXPECT_EQ(dropped->value(), 3u);
 }
 
-TEST(Trace, RingRetainsNewestEntriesWithSequences) {
-  TraceRing ring(/*capacity=*/3);
-  EXPECT_EQ(ring.snapshot().size(), 0u);
-  EXPECT_NE(ring.to_text_report().find("0 of 0 completed queries"),
-            std::string::npos);
-
-  MetricsRegistry reg;
-  for (int i = 0; i < 5; ++i) {
-    Tracer tracer(/*max_spans=*/16, &reg);
-    SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-    tracer.add_attr(root, "n", static_cast<std::uint64_t>(i));
-    tracer.end_span(root, 1000 * (i + 1));
-    ring.push(tracer.snapshot(), tracer.dropped());
-  }
-
-  EXPECT_EQ(ring.total_pushed(), 5u);
-  std::vector<TraceRing::Entry> entries = ring.snapshot();
-  ASSERT_EQ(entries.size(), 3u);  // oldest two fell out
-  EXPECT_EQ(entries[0].sequence, 3u);
-  EXPECT_EQ(entries[2].sequence, 5u);
-  ASSERT_EQ(entries[2].spans.size(), 1u);
-  EXPECT_EQ(entries[2].spans[0].virt_end, 5000u);
-
-  // Text report is newest-first with per-trace headers.
-  std::string report = ring.to_text_report();
-  const std::size_t newest = report.find("trace #5");
-  const std::size_t oldest = report.find("trace #3");
-  ASSERT_NE(newest, std::string::npos) << report;
-  ASSERT_NE(oldest, std::string::npos) << report;
-  EXPECT_LT(newest, oldest);
-  EXPECT_EQ(report.find("trace #1"), std::string::npos);
-
-  // Chrome export renders the newest retained trace.
-  std::string json = ring.to_chrome_json();
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
-  EXPECT_NE(json.find("\"n\":\"4\""), std::string::npos) << json;
-}
-
 // ---- Query resource accounts ---------------------------------------------
 
 TEST(QueryStats, AccountJsonGolden) {
@@ -539,28 +501,77 @@ TEST(QueryStats, AccountJsonGolden) {
   EXPECT_TRUE(JsonValidator(a.to_json()).valid());
 }
 
-TEST(QueryStats, RingStampsSequencesAndEvictsOldest) {
-  QueryStatsRing ring(/*capacity=*/2);
-  for (int i = 0; i < 3; ++i) {
-    QueryResourceAccount a;
-    a.rows_gathered = static_cast<std::uint64_t>(i);
-    EXPECT_EQ(ring.push(std::move(a)), static_cast<std::uint64_t>(i + 1));
-  }
-  EXPECT_EQ(ring.total_pushed(), 3u);
-  std::vector<QueryResourceAccount> kept = ring.snapshot();
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].sequence, 2u);  // oldest retained
-  EXPECT_EQ(kept[1].sequence, 3u);
+// ---- Query log -------------------------------------------------------------
 
-  // JSON is newest-first under a total count.
-  std::string json = ring.to_json();
+TEST(QueryLog, RetainsNewestRecordsUnderOneSequence) {
+  QueryLog log(/*capacity=*/3);
+  // Empty log: every rendering is well formed and says so.
+  EXPECT_EQ(log.snapshot().size(), 0u);
+  EXPECT_EQ(log.accounts_json(), "{\"total\":0,\"recent\":[]}");
+  EXPECT_NE(log.traces_text().find("0 of 0 completed queries"),
+            std::string::npos);
+  EXPECT_TRUE(JsonValidator(log.newest_trace_json()).valid());
+
+  MetricsRegistry reg;
+  for (int i = 0; i < 5; ++i) {
+    Tracer tracer(/*max_spans=*/16, &reg);
+    SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
+    tracer.add_attr(root, "n", static_cast<std::uint64_t>(i));
+    tracer.end_span(root, 1000 * (i + 1));
+    QueryRecord record;
+    record.account.rows_gathered = static_cast<std::uint64_t>(i);
+    record.spans = tracer.snapshot();
+    record.dropped = tracer.dropped();
+    EXPECT_EQ(log.push(std::move(record)), static_cast<std::uint64_t>(i + 1));
+  }
+
+  EXPECT_EQ(log.total_pushed(), 5u);
+  std::vector<QueryRecord> kept = log.snapshot();
+  ASSERT_EQ(kept.size(), 3u);  // oldest two fell out
+  EXPECT_EQ(kept[0].account.sequence, 3u);
+  EXPECT_EQ(kept[0].account.rows_gathered, 2u);
+  EXPECT_EQ(kept[2].account.sequence, 5u);
+  ASSERT_EQ(kept[2].spans.size(), 1u);
+  EXPECT_EQ(kept[2].spans[0].virt_end, 5000u);
+
+  // /statusz JSON is newest-first under the total count.
+  const std::string json = log.accounts_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
-  const std::size_t newest = json.find("\"sequence\":3");
-  const std::size_t older = json.find("\"sequence\":2");
-  ASSERT_NE(newest, std::string::npos) << json;
-  ASSERT_NE(older, std::string::npos) << json;
-  EXPECT_LT(newest, older);
-  EXPECT_NE(json.find("\"total\":3"), std::string::npos);
+  const std::size_t newest_account = json.find("\"sequence\":5");
+  const std::size_t oldest_account = json.find("\"sequence\":3");
+  ASSERT_NE(newest_account, std::string::npos) << json;
+  ASSERT_NE(oldest_account, std::string::npos) << json;
+  EXPECT_LT(newest_account, oldest_account);
+  EXPECT_EQ(json.find("\"sequence\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"total\":5"), std::string::npos);
+
+  // /tracez text is newest-first with one header per record, numbered
+  // like the accounts.
+  const std::string report = log.traces_text();
+  EXPECT_NE(report.find("3 of 5 completed queries retained (capacity 3)"),
+            std::string::npos)
+      << report;
+  const std::size_t newest_trace = report.find("trace #5");
+  const std::size_t oldest_trace = report.find("trace #3");
+  ASSERT_NE(newest_trace, std::string::npos) << report;
+  ASSERT_NE(oldest_trace, std::string::npos) << report;
+  EXPECT_LT(newest_trace, oldest_trace);
+  EXPECT_EQ(report.find("trace #2"), std::string::npos);
+
+  // Chrome export renders the newest record's trace.
+  const std::string chrome = log.newest_trace_json();
+  EXPECT_TRUE(JsonValidator(chrome).valid()) << chrome;
+  EXPECT_NE(chrome.find("\"n\":\"4\""), std::string::npos) << chrome;
+
+  // An untraced query still takes the next number on both endpoints.
+  EXPECT_EQ(log.push(QueryRecord{}), 6u);
+  EXPECT_NE(log.accounts_json().find("\"recent\":[{\"sequence\":6"),
+            std::string::npos);
+  const std::string untraced = log.traces_text();
+  EXPECT_NE(untraced.find("=== trace #6 ===\nuntraced"), std::string::npos)
+      << untraced;
+  EXPECT_NE(untraced.find("trace #5"), std::string::npos);
+  EXPECT_EQ(log.newest_trace_json().find("\"cat\":"), std::string::npos);
 }
 
 // ---- Engine integration --------------------------------------------------
@@ -803,8 +814,7 @@ TEST_F(TelemetryEngineFixture, CappedTracerCountsEachDroppedSpanOnce) {
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   Tracer tracer;
   MetricsRegistry reg;
-  TraceRing traces;
-  QueryStatsRing stats;
+  QueryLog log;
   cache::CacheConfig cc;
   cc.num_nodes = 2;
   cc.metrics = &reg;
@@ -815,8 +825,7 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   opts.cache = &cache;
   opts.tracer = &tracer;
   opts.metrics = &reg;
-  opts.trace_ring = &traces;
-  opts.query_stats = &stats;
+  opts.query_log = &log;
   IdsEngine eng(opts, triples_.get(), features_.get());
   register_udfs(&eng);
 
@@ -855,12 +864,13 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   }
   EXPECT_EQ(tier_hits, static_cast<std::uint64_t>(r.cache_hits));
 
-  // The account was pushed to the ring and the span tree to the trace
-  // ring, with the root span carrying the account attrs for /tracez.
-  ASSERT_EQ(stats.snapshot().size(), 1u);
-  EXPECT_EQ(stats.snapshot()[0].sequence, 1u);
-  ASSERT_EQ(traces.total_pushed(), 1u);
-  const std::vector<Span> spans = traces.snapshot()[0].spans;
+  // The query was logged once: one record holding the account and the
+  // span tree, with the root span carrying the account attrs for /tracez.
+  const std::vector<QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].account.sequence, 1u);
+  EXPECT_EQ(records[0].account.rows_partitioned, a.rows_partitioned);
+  const std::vector<Span>& spans = records[0].spans;
   const Span* root = nullptr;
   for (const Span& s : spans) {
     if (s.category == "query") root = &s;
@@ -892,7 +902,7 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   QueryResult r2 = eng.execute(full_query());
   EXPECT_EQ(r2.account.sequence, 2u);
   ASSERT_EQ(r2.account.stages.size(), r2.stages.size());
-  EXPECT_EQ(stats.total_pushed(), 2u);
+  EXPECT_EQ(log.total_pushed(), 2u);
 }
 
 TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {

@@ -2,8 +2,9 @@
 # Observability-plane smoke: runs the NCNPR workflow with the in-process
 # exposition server and the sampling profiler on, scrapes every endpoint
 # over loopback during the post-run hold window (as an operator with curl
-# would), and asserts the ids_* metric families, the retained query
-# traces, and non-empty named-scope flamegraph stacks.
+# would), and asserts the ids_* metric families, that /tracez holds the
+# trace of the newest /statusz account under the same sequence number,
+# and non-empty named-scope flamegraph stacks.
 #
 # Usage: tools/obs_smoke.sh WORKFLOW_BINARY [OUT_DIR]
 #   WORKFLOW_BINARY  path to a built examples/ncnpr_workflow
@@ -90,7 +91,13 @@ for family in ("ids_engine_queries_total", "ids_cache_hits_total{",
 statusz = fetch("/statusz")
 for key in ('"build_type":', '"simd_level":', '"queries":{"total":2'):
     assert key in statusz, "missing %s in /statusz" % key
-assert "trace #" in fetch("/tracez"), "/tracez lost the query traces"
+# Both endpoints render the same query log records: the newest account's
+# sequence on /statusz is a trace header on /tracez.
+marker = '"recent":[{"sequence":'
+assert marker in statusz, "/statusz lists no query account"
+newest = statusz.split(marker, 1)[1].split(",", 1)[0]
+assert "=== trace #%s ===" % newest in fetch("/tracez"), \
+    "/tracez lacks trace #%s, the newest /statusz account" % newest
 folded = fetch("/profilez?fmt=folded")
 assert folded.strip(), "/profilez?fmt=folded is empty"
 for line in folded.strip().splitlines():
