@@ -7,6 +7,7 @@
 //   (c) remote-only placement (RDMA path) (d) backing store only
 // Also exercises node failure + repopulation and the locality query.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -71,17 +72,15 @@ int main() {
     for (int round = 0; round < kReadRounds; ++round) {
       for (std::size_t i = 0; i < kObjects; ++i) {
         auto v = cache.get(reader, reader_node, "vina/obj" + std::to_string(i));
-        if (!v) std::printf("unexpected miss!\n");
+        if (!v.has_value()) std::printf("unexpected miss!\n");
       }
     }
-    const auto& st = cache.stats();
-    std::printf("%-22s %12.3f %9llu %9llu %9llu %9llu %9llu\n", sc.name,
-                sim::to_seconds(reader.now()),
-                static_cast<unsigned long long>(st.hits_local_dram),
-                static_cast<unsigned long long>(st.hits_local_ssd),
-                static_cast<unsigned long long>(st.hits_remote_dram),
-                static_cast<unsigned long long>(st.hits_remote_ssd),
-                static_cast<unsigned long long>(st.hits_backing));
+    const cache::CacheStats st = cache.stats();
+    std::printf("%-22s %12.3f", sc.name, sim::to_seconds(reader.now()));
+    for (std::uint64_t hits : st.hits.n) {  // one column per tier
+      std::printf(" %9llu", static_cast<unsigned long long>(hits));
+    }
+    std::printf("\n");
   }
 
   // Failure + repopulation drill.
@@ -99,7 +98,8 @@ int main() {
   }
   std::printf("after failing node 1: 50 reads -> backing hits=%llu "
               "(authoritative data preserved), re-read cost %.3f s\n",
-              static_cast<unsigned long long>(cache.stats().hits_backing),
+              static_cast<unsigned long long>(
+                  cache.stats().hits[cache::ReadTier::kBacking]),
               sim::to_seconds(reader.now()));
   cache.reset_stats();
   sim::VirtualClock reread;
@@ -108,7 +108,8 @@ int main() {
   }
   std::printf("second pass: local DRAM hits=%llu, cost %.3f s "
               "(working set rebuilt)\n",
-              static_cast<unsigned long long>(cache.stats().hits_local_dram),
+              static_cast<unsigned long long>(
+                  cache.stats().hits[cache::ReadTier::kLocalDram]),
               sim::to_seconds(reread.now()));
 
   // Locality query demo (the scheduler-facing API).

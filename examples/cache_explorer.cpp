@@ -77,9 +77,9 @@ int main() {
   sim::VirtualClock clock_b;
   int reused = 0;
   for (const auto& key : keys) {
-    auto payload = cache.get(clock_b, /*node=*/1, key);
+    const cache::CacheRead read = cache.get(clock_b, /*node=*/1, key);
     models::DockingResult r;
-    if (payload && models::deserialize(*payload, &r)) ++reused;
+    if (read.has_value() && models::deserialize(*read.payload, &r)) ++reused;
   }
   std::printf("reused %d/%zu docking outputs in %.4f modeled s "
               "(vs ~35 modeled s per re-docking)\n",
@@ -94,12 +94,13 @@ int main() {
   sim::VirtualClock clock_c;
   int recovered = 0;
   for (const auto& key : keys) {
-    if (cache.get(clock_c, /*node=*/1, key)) ++recovered;
+    if (cache.get(clock_c, /*node=*/1, key).has_value()) ++recovered;
   }
   std::printf("all %d artifacts still readable (backing hits: %llu); "
               "re-population rebuilt copies:\n",
               recovered,
-              static_cast<unsigned long long>(cache.stats().hits_backing));
+              static_cast<unsigned long long>(
+                  cache.stats().hits[cache::ReadTier::kBacking]));
   for (std::size_t i = 0; i < 4; ++i) show_locations(cache, keys[i]);
   return 0;
 }

@@ -44,26 +44,27 @@ std::optional<std::string> CrossClusterBridge::get(sim::VirtualClock& clock,
                                                    std::string_view name) {
   // The underlying caches synchronize themselves; the bridge counters are
   // lock-free registry instruments, so the bridge itself needs no mutex.
-  if (auto payload = local_->get(clock, node, name)) {
+  CacheRead local = local_->get(clock, node, name);
+  if (local.has_value()) {
     local_hits_->inc();
-    return payload;
+    return std::move(local.payload);
   }
 
   // Peer fetch: the peer cluster serves it from its best tier (charged on
   // our clock — we wait for the peer's storage plus the WAN transfer),
   // entering the peer at its gateway node 0.
-  auto payload = peer_->get(clock, /*node=*/0, name);
-  if (!payload) {
+  CacheRead peer = peer_->get(clock, /*node=*/0, name);
+  if (!peer.has_value()) {
     misses_->inc();
     return std::nullopt;
   }
-  clock.advance(wan_.transfer_cost(payload->size()));
+  clock.advance(wan_.transfer_cost(peer.payload->size()));
   peer_fetches_->inc();
-  bytes_over_wan_->inc(payload->size());
+  bytes_over_wan_->inc(peer.payload->size());
 
   // Populate the local cluster so the next read is cluster-local.
-  local_->put(clock, node, name, *payload);
-  return payload;
+  local_->put(clock, node, name, *peer.payload);
+  return std::move(peer.payload);
 }
 
 }  // namespace ids::cache

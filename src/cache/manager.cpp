@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -11,12 +13,28 @@ namespace ids::cache {
 
 namespace {
 
-std::span<const std::byte> as_bytes(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+/// The tier a copy at `loc` is read from by a reader on `reader`.
+ReadTier read_tier(const Location& loc, int reader) {
+  const bool local = loc.node == reader;
+  if (loc.tier == TierKind::kDram) {
+    return local ? ReadTier::kLocalDram : ReadTier::kRemoteDram;
+  }
+  return local ? ReadTier::kLocalSsd : ReadTier::kRemoteSsd;
 }
 
-std::span<std::byte> as_writable_bytes(std::string& s) {
-  return {reinterpret_cast<std::byte*>(s.data()), s.size()};
+/// Modeled transfer time of a `size`-byte read served from `tier`. A DRAM
+/// read by get() is charged by the FAM layer itself.
+sim::Nanos read_cost(const sim::FabricParams& f, ReadTier tier,
+                     std::uint64_t size) {
+  switch (tier) {
+    case ReadTier::kLocalDram: return f.intra_node.transfer_cost(size);
+    case ReadTier::kLocalSsd: return f.local_ssd.transfer_cost(size);
+    case ReadTier::kRemoteDram: return f.inter_node.transfer_cost(size);
+    case ReadTier::kRemoteSsd:
+      return f.local_ssd.transfer_cost(size) + f.inter_node.transfer_cost(size);
+    case ReadTier::kBacking: break;
+  }
+  return f.backing_store.transfer_cost(size);
 }
 
 /// Distinct default instance label per cache in construction order, so two
@@ -36,15 +54,13 @@ CacheManager::CacheManager(CacheConfig config)
   auto& registry = config_.metrics != nullptr
                        ? *config_.metrics
                        : telemetry::MetricsRegistry::global();
-  auto tier_hits = [&](const char* tier) {
-    return registry.counter("ids_cache_hits_total",
-                            {{"cache", config_.name}, {"tier", tier}});
-  };
-  tele_.hits_local_dram = tier_hits("local_dram");
-  tele_.hits_local_ssd = tier_hits("local_ssd");
-  tele_.hits_remote_dram = tier_hits("remote_dram");
-  tele_.hits_remote_ssd = tier_hits("remote_ssd");
-  tele_.hits_backing = tier_hits("backing");
+  for (std::size_t i = 0; i < kNumReadTiers; ++i) {
+    const telemetry::LabelSet labels = {
+        {"cache", config_.name}, {"tier", std::string(kReadTierNames[i])}};
+    tele_.hits.n[i] = registry.counter("ids_cache_hits_total", labels);
+    tele_.read_bytes.n[i] =
+        registry.counter("ids_cache_tier_read_bytes_total", labels);
+  }
   auto cache_counter = [&](const char* metric) {
     return registry.counter(metric, {{"cache", config_.name}});
   };
@@ -55,21 +71,10 @@ CacheManager::CacheManager(CacheConfig config)
   tele_.promotions = cache_counter("ids_cache_promotions_total");
   tele_.bytes_read = cache_counter("ids_cache_read_bytes_total");
   tele_.bytes_written = cache_counter("ids_cache_written_bytes_total");
-  auto tier_read_bytes = [&](const char* tier) {
-    return registry.counter("ids_cache_tier_read_bytes_total",
-                            {{"cache", config_.name}, {"tier", tier}});
-  };
-  tele_.read_bytes_local_dram = tier_read_bytes("local_dram");
-  tele_.read_bytes_local_ssd = tier_read_bytes("local_ssd");
-  tele_.read_bytes_remote_dram = tier_read_bytes("remote_dram");
-  tele_.read_bytes_remote_ssd = tier_read_bytes("remote_ssd");
-  tele_.read_bytes_backing = tier_read_bytes("backing");
 
   fam::FamOptions fam_opts;
   fam_opts.server_nodes.resize(static_cast<std::size_t>(config_.num_nodes));
-  for (int i = 0; i < config_.num_nodes; ++i) {
-    fam_opts.server_nodes[static_cast<std::size_t>(i)] = i;
-  }
+  std::iota(fam_opts.server_nodes.begin(), fam_opts.server_nodes.end(), 0);
   fam_opts.server_capacity_bytes = config_.dram_capacity_bytes;
   fam_opts.fabric = config_.fabric;
   fam_opts.metrics = config_.metrics;
@@ -78,11 +83,10 @@ CacheManager::CacheManager(CacheConfig config)
 
 CacheStats CacheManager::counters_snapshot() const {
   CacheStats s;
-  s.hits_local_dram = tele_.hits_local_dram->value();
-  s.hits_local_ssd = tele_.hits_local_ssd->value();
-  s.hits_remote_dram = tele_.hits_remote_dram->value();
-  s.hits_remote_ssd = tele_.hits_remote_ssd->value();
-  s.hits_backing = tele_.hits_backing->value();
+  for (std::size_t i = 0; i < kNumReadTiers; ++i) {
+    s.hits.n[i] = tele_.hits.n[i]->value();
+    s.read_bytes.n[i] = tele_.read_bytes.n[i]->value();
+  }
   s.misses = tele_.misses->value();
   s.puts = tele_.puts->value();
   s.spills_to_ssd = tele_.spills_to_ssd->value();
@@ -90,11 +94,6 @@ CacheStats CacheManager::counters_snapshot() const {
   s.promotions = tele_.promotions->value();
   s.bytes_read = tele_.bytes_read->value();
   s.bytes_written = tele_.bytes_written->value();
-  s.read_bytes_local_dram = tele_.read_bytes_local_dram->value();
-  s.read_bytes_local_ssd = tele_.read_bytes_local_ssd->value();
-  s.read_bytes_remote_dram = tele_.read_bytes_remote_dram->value();
-  s.read_bytes_remote_ssd = tele_.read_bytes_remote_ssd->value();
-  s.read_bytes_backing = tele_.read_bytes_backing->value();
   return s;
 }
 
@@ -106,6 +105,12 @@ CacheStats CacheManager::stats() const {
 void CacheManager::reset_stats() {
   MutexLock lock(mutex_);
   baseline_ = counters_snapshot();
+}
+
+void CacheManager::check_node(int node) const {
+  IDS_CHECK(node >= 0 && node < config_.num_nodes)
+      << "cache node " << node << " outside [0, " << config_.num_nodes
+      << ")";
 }
 
 std::string CacheManager::fam_name(ObjectId id, int node) {
@@ -130,24 +135,6 @@ void CacheManager::charge_directory_lookup(sim::VirtualClock& clock, int node,
   clock.advance(config_.fabric.inter_node.transfer_cost(64) * 2);
 }
 
-void CacheManager::touch_dram(int node, ObjectId id) {
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  auto it = ns.dram_pos.find(id);
-  if (it == ns.dram_pos.end()) return;
-  ns.dram_lru.erase(it->second);
-  ns.dram_lru.push_front(id);
-  it->second = ns.dram_lru.begin();
-}
-
-void CacheManager::touch_ssd(int node, ObjectId id) {
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  auto it = ns.ssd_pos.find(id);
-  if (it == ns.ssd_pos.end()) return;
-  ns.ssd_lru.erase(it->second);
-  ns.ssd_lru.push_front(id);
-  it->second = ns.ssd_lru.begin();
-}
-
 bool CacheManager::read_dram_copy(sim::VirtualClock& clock, int reader_node,
                                   int owner_node, const Meta& meta,
                                   std::string* out) const {
@@ -155,98 +142,72 @@ bool CacheManager::read_dram_copy(sim::VirtualClock& clock, int reader_node,
   if (!desc.ok()) return false;
   out->resize(meta.size);
   Status st = fam_->get(clock, reader_node, desc.value(), 0,
-                        as_writable_bytes(*out));
+                        std::as_writable_bytes(std::span(*out)));
   return st.ok();
 }
 
-void CacheManager::remove_copy_record(Meta& meta, const Location& loc) {
+void CacheManager::drop_copy(ObjectId id, Meta& meta, const Location& loc) {
+  node_state(loc.node).tier(loc.tier).erase(id);
+  if (loc.tier == TierKind::kDram) {
+    // The FAM region may already be gone after fail_node(); either way
+    // the copy record is dropped below.
+    IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, loc.node)));
+  }
   meta.copies.erase(std::remove(meta.copies.begin(), meta.copies.end(), loc),
                     meta.copies.end());
 }
 
-void CacheManager::drop_copy(ObjectId id, Meta& meta, const Location& loc) {
-  auto& ns = nodes_[static_cast<std::size_t>(loc.node)];
-  if (loc.tier == TierKind::kDram) {
-    auto it = ns.dram_pos.find(id);
-    if (it != ns.dram_pos.end()) {
-      ns.dram_lru.erase(it->second);
-      ns.dram_pos.erase(it);
-      ns.dram_used -= meta.size;
+Status CacheManager::make_room(sim::VirtualClock& clock, int node,
+                               TierKind kind, std::uint64_t size) {
+  TierLru& lru = node_state(node).tier(kind);
+  const std::uint64_t capacity = kind == TierKind::kDram
+                                     ? config_.dram_capacity_bytes
+                                     : config_.ssd_capacity_bytes;
+  while (lru.used() + size > capacity && !lru.empty()) {
+    const ObjectId victim = lru.lru();
+    auto dit = directory_.find(victim);
+    if (dit == directory_.end()) {
+      // The directory lost track of the LRU victim. Recover by dropping
+      // the orphaned entry, so no caller loops on the same victim.
+      lru.erase(victim);
+      return Status::Internal("LRU victim missing from cache directory");
     }
-    // The FAM region may already be gone after fail_node(); either way
-    // the copy record is dropped below.
-    IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, loc.node)));
-  } else {
-    auto it = ns.ssd_pos.find(id);
-    if (it != ns.ssd_pos.end()) {
-      ns.ssd_lru.erase(it->second);
-      ns.ssd_pos.erase(it);
-      ns.ssd_data.erase(id);
-      ns.ssd_used -= meta.size;
+    Meta& meta = dit->second;
+    if (kind == TierKind::kSsd) {
+      drop_copy(victim, meta, Location{node, kind});
+      tele_.ssd_drops->inc();
+      continue;
     }
-  }
-  remove_copy_record(meta, loc);
-}
-
-Status CacheManager::evict_dram_lru(sim::VirtualClock& clock, int node) {
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  if (ns.dram_lru.empty()) return Status::Ok();
-  ObjectId victim = ns.dram_lru.back();
-  auto dit = directory_.find(victim);
-  if (dit == directory_.end()) {
-    // The directory lost track of the LRU victim. Recover by dropping the
-    // orphaned LRU entry (its bytes are unaccounted anyway) so the caller
-    // can keep evicting instead of looping on the same victim.
-    ns.dram_pos.erase(victim);
-    ns.dram_lru.pop_back();
-    return Status::Internal("DRAM LRU victim missing from cache directory");
-  }
-  Meta& meta = dit->second;
-
-  // Demote to the same node's SSD (spill), or drop if SSD is disabled.
-  std::string payload;
-  sim::VirtualClock scratch;  // local DRAM read folded into the SSD charge
-  bool have = read_dram_copy(scratch, node, node, meta, &payload);
-  drop_copy(victim, meta, Location{node, TierKind::kDram});
-  if (have && config_.enable_ssd && meta.size <= config_.ssd_capacity_bytes) {
-    clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
-    RETURN_IF_ERROR(insert_ssd(node, victim, meta, std::move(payload)));
-    tele_.spills_to_ssd->inc();
+    // Demote to the same node's SSD (spill), or drop if SSD is disabled.
+    std::string payload;
+    sim::VirtualClock scratch;  // local DRAM read folded into the SSD charge
+    bool have = read_dram_copy(scratch, node, node, meta, &payload);
+    drop_copy(victim, meta, Location{node, kind});
+    if (have && config_.enable_ssd && meta.size <= config_.ssd_capacity_bytes) {
+      clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
+      RETURN_IF_ERROR(
+          insert_ssd(clock, node, victim, meta, std::move(payload)));
+      tele_.spills_to_ssd->inc();
+    }
   }
   return Status::Ok();
 }
 
-Status CacheManager::insert_ssd(int node, ObjectId id, Meta& meta,
-                                std::string payload) {
+Status CacheManager::insert_ssd(sim::VirtualClock& clock, int node,
+                                ObjectId id, Meta& meta, std::string payload) {
   // Policy skips (tier disabled, object larger than the tier) are not
   // errors: the object simply stays wherever it already is.
   if (!config_.enable_ssd || meta.size > config_.ssd_capacity_bytes) {
     return Status::Ok();
   }
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  Location loc{node, TierKind::kSsd};
-  if (ns.ssd_pos.contains(id)) return Status::Ok();  // already there
-  while (ns.ssd_used + meta.size > config_.ssd_capacity_bytes &&
-         !ns.ssd_lru.empty()) {
-    ObjectId victim = ns.ssd_lru.back();
-    auto dit = directory_.find(victim);
-    if (dit == directory_.end()) {
-      ns.ssd_pos.erase(victim);
-      ns.ssd_data.erase(victim);
-      ns.ssd_lru.pop_back();
-      return Status::Internal("SSD LRU victim missing from cache directory");
-    }
-    drop_copy(victim, dit->second, Location{node, TierKind::kSsd});
-    tele_.ssd_drops->inc();
-  }
-  if (ns.ssd_used + meta.size > config_.ssd_capacity_bytes) {
+  TierLru& ssd = node_state(node).ssd;
+  if (ssd.find(id) != nullptr) return Status::Ok();  // already there
+  RETURN_IF_ERROR(make_room(clock, node, TierKind::kSsd, meta.size));
+  if (ssd.used() + meta.size > config_.ssd_capacity_bytes) {
     return Status::Ok();
   }
-  ns.ssd_lru.push_front(id);
-  ns.ssd_pos[id] = ns.ssd_lru.begin();
-  ns.ssd_data[id] = std::move(payload);
-  ns.ssd_used += meta.size;
-  meta.copies.push_back(loc);
+  ssd.insert(id, meta.size, std::move(payload));
+  meta.copies.push_back(Location{node, TierKind::kSsd});
   return Status::Ok();
 }
 
@@ -255,24 +216,20 @@ Status CacheManager::insert_dram(sim::VirtualClock& clock, int node,
                                  const std::string& payload) {
   if (meta.size > config_.dram_capacity_bytes) {
     // Too big for the DRAM tier entirely; go straight to SSD.
-    return insert_ssd(node, id, meta, payload);
+    return insert_ssd(clock, node, id, meta, payload);
   }
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  if (ns.dram_pos.contains(id)) return Status::Ok();  // already resident
-  while (ns.dram_used + meta.size > config_.dram_capacity_bytes &&
-         !ns.dram_lru.empty()) {
-    RETURN_IF_ERROR(evict_dram_lru(clock, node));
-  }
+  TierLru& dram = node_state(node).dram;
+  if (dram.find(id) != nullptr) return Status::Ok();  // already resident
+  RETURN_IF_ERROR(make_room(clock, node, TierKind::kDram, meta.size));
   auto desc = fam_->allocate(fam_name(id, node), meta.size, node);
   if (!desc.ok()) return desc.status();
-  Status st = fam_->put(clock, node, desc.value(), 0, as_bytes(payload));
+  Status st = fam_->put(clock, node, desc.value(), 0,
+                        std::as_bytes(std::span(payload)));
   if (!st.ok()) {
     IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, node)));
     return st;
   }
-  ns.dram_lru.push_front(id);
-  ns.dram_pos[id] = ns.dram_lru.begin();
-  ns.dram_used += meta.size;
+  dram.insert(id, meta.size);
   meta.copies.push_back(Location{node, TierKind::kDram});
   return Status::Ok();
 }
@@ -281,6 +238,7 @@ void CacheManager::put(sim::VirtualClock& clock, int node,
                        std::string_view name, std::string payload,
                        PlacementHint hint) {
   telemetry::ProfileScope profile_scope("cache.put");
+  check_node(node);
   // Serialize the artifact *before* entering the critical section: the
   // serialization service is a shared blocking server (the paper's §8
   // bottleneck) and must not stall every other cache client behind
@@ -321,10 +279,11 @@ void CacheManager::put(sim::VirtualClock& clock, int node,
   tele_.bytes_written->inc(payload.size());
 }
 
-std::optional<std::string> CacheManager::get(sim::VirtualClock& clock,
-                                             int node, std::string_view name) {
+CacheRead CacheManager::get(sim::VirtualClock& clock, int node,
+                            std::string_view name) {
   telemetry::ProfileScope profile_scope("cache.get");
-  std::optional<std::string> hit;
+  check_node(node);
+  CacheRead hit;
   {
     MutexLock lock(mutex_);
     hit = get_locked(clock, node, name);
@@ -337,96 +296,59 @@ std::optional<std::string> CacheManager::get(sim::VirtualClock& clock,
   return hit;
 }
 
-std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
-                                                    int node,
-                                                    std::string_view name) {
+CacheRead CacheManager::get_locked(sim::VirtualClock& clock, int node,
+                                   std::string_view name) {
   ObjectId id = object_id(name);
   charge_directory_lookup(clock, node, id);
 
   auto it = directory_.find(id);
   if (it == directory_.end()) {
     tele_.misses->inc();
-    return std::nullopt;
+    return {};
   }
   Meta& meta = it->second;
-
-  auto has_copy = [&meta](int n, TierKind t) {
-    return std::find(meta.copies.begin(), meta.copies.end(),
-                     Location{n, t}) != meta.copies.end();
+  // Counts a read served from `tier` and hands the payload over.
+  auto served = [&](ReadTier tier, std::string payload) {
+    tele_.hits[tier]->inc();
+    tele_.bytes_read->inc(meta.size);
+    tele_.read_bytes[tier]->inc(meta.size);
+    return CacheRead{std::move(payload), tier};
   };
 
-  std::string payload;
-
-  // 1. Local DRAM.
-  if (has_copy(node, TierKind::kDram) &&
-      read_dram_copy(clock, node, node, meta, &payload)) {
-    touch_dram(node, id);
-    tele_.hits_local_dram->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_local_dram->inc(meta.size);
-    return payload;
-  }
-
-  // 2. Local SSD.
-  if (has_copy(node, TierKind::kSsd)) {
-    auto& ns = nodes_[static_cast<std::size_t>(node)];
-    auto sit = ns.ssd_data.find(id);
-    if (sit != ns.ssd_data.end()) {
-      payload = sit->second;
-      clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
-      touch_ssd(node, id);
-      tele_.hits_local_ssd->inc();
-      tele_.bytes_read->inc(meta.size);
-      tele_.read_bytes_local_ssd->inc(meta.size);
-      return payload;
-    }
-    // Stale copy record (bytes vanished): drop it and fall through to the
-    // remaining tiers instead of failing the read.
-    drop_copy(id, meta, Location{node, TierKind::kSsd});
-  }
-
-  // 3. Remote DRAM (deterministically the lowest-numbered owner).
-  int remote_dram = -1;
-  int remote_ssd = -1;
+  // 1-4. The cached tiers in read order, each read from its
+  // lowest-numbered owner (deterministic); a tier whose read fails falls
+  // through to the next.
+  PerTier<int> owner;
+  owner.n.fill(-1);
   for (const auto& loc : meta.copies) {
-    if (loc.node == node) continue;
-    if (loc.tier == TierKind::kDram) {
-      if (remote_dram < 0 || loc.node < remote_dram) remote_dram = loc.node;
+    int& o = owner[read_tier(loc, node)];
+    if (o < 0 || loc.node < o) o = loc.node;
+  }
+  std::string payload;
+  for (ReadTier tier : {ReadTier::kLocalDram, ReadTier::kLocalSsd,
+                        ReadTier::kRemoteDram, ReadTier::kRemoteSsd}) {
+    const bool dram =
+        tier == ReadTier::kLocalDram || tier == ReadTier::kRemoteDram;
+    const Location loc{owner[tier], dram ? TierKind::kDram : TierKind::kSsd};
+    if (loc.node < 0) continue;
+    TierLru& lru = node_state(loc.node).tier(loc.tier);
+    if (dram) {
+      if (!read_dram_copy(clock, node, loc.node, meta, &payload)) continue;
+    } else if (const std::string* bytes = lru.find(id)) {
+      payload = *bytes;
+      clock.advance(read_cost(config_.fabric, tier, meta.size));
     } else {
-      if (remote_ssd < 0 || loc.node < remote_ssd) remote_ssd = loc.node;
+      // Stale copy record (bytes vanished): drop it and read on.
+      drop_copy(id, meta, loc);
+      continue;
     }
-  }
-  if (remote_dram >= 0 &&
-      read_dram_copy(clock, node, remote_dram, meta, &payload)) {
-    touch_dram(remote_dram, id);
-    tele_.hits_remote_dram->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_remote_dram->inc(meta.size);
-    if (config_.promote_on_remote_hit) {
+    lru.touch(id);
+    if (loc.node != node && config_.promote_on_remote_hit) {
       // Best-effort: a failed promotion still served the read.
       IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
       tele_.promotions->inc();
     }
-    return payload;
-  }
-
-  // 4. Remote SSD: SSD read on the owner, then a fabric transfer.
-  if (remote_ssd >= 0 &&
-      nodes_[static_cast<std::size_t>(remote_ssd)].ssd_data.contains(id)) {
-    auto& ns = nodes_[static_cast<std::size_t>(remote_ssd)];
-    payload = ns.ssd_data.at(id);
-    clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size) +
-                  config_.fabric.inter_node.transfer_cost(meta.size));
-    touch_ssd(remote_ssd, id);
-    tele_.hits_remote_ssd->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_remote_ssd->inc(meta.size);
-    if (config_.promote_on_remote_hit) {
-      // Best-effort: a failed promotion still served the read.
-      IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
-      tele_.promotions->inc();
-    }
-    return payload;
+    return served(tier, std::move(payload));
   }
 
   // 5. Backing store (authoritative). Re-populate the reader's DRAM so a
@@ -435,20 +357,17 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
     auto bit = backing_.find(id);
     if (bit != backing_.end()) {
       payload = bit->second;
-      clock.advance(config_.fabric.backing_store.transfer_cost(meta.size));
-      tele_.hits_backing->inc();
-      tele_.bytes_read->inc(meta.size);
-      tele_.read_bytes_backing->inc(meta.size);
+      clock.advance(read_cost(config_.fabric, ReadTier::kBacking, meta.size));
       // Best-effort re-population of the reader's DRAM.
       IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
-      return payload;
+      return served(ReadTier::kBacking, std::move(payload));
     }
     // in_backing flag with no backing bytes: treat as the miss it is.
     meta.in_backing = false;
   }
 
   tele_.misses->inc();
-  return std::nullopt;
+  return {};
 }
 
 bool CacheManager::contains(std::string_view name) const {
@@ -467,51 +386,36 @@ std::vector<Location> CacheManager::locations(std::string_view name) const {
 
 sim::Nanos CacheManager::estimated_get_cost(int node,
                                             std::string_view name) const {
+  check_node(node);
   MutexLock lock(mutex_);
   auto it = directory_.find(object_id(name));
   if (it == directory_.end()) return std::numeric_limits<sim::Nanos>::max();
   const Meta& meta = it->second;
-
-  sim::Nanos best = std::numeric_limits<sim::Nanos>::max();
+  sim::Nanos best =
+      meta.in_backing
+          ? read_cost(config_.fabric, ReadTier::kBacking, meta.size)
+          : std::numeric_limits<sim::Nanos>::max();
   for (const auto& loc : meta.copies) {
-    sim::Nanos c;
-    if (loc.tier == TierKind::kDram) {
-      c = (loc.node == node ? config_.fabric.intra_node
-                            : config_.fabric.inter_node)
-              .transfer_cost(meta.size);
-    } else {
-      c = config_.fabric.local_ssd.transfer_cost(meta.size);
-      if (loc.node != node) {
-        c += config_.fabric.inter_node.transfer_cost(meta.size);
-      }
-    }
-    best = std::min(best, c);
-  }
-  if (meta.in_backing) {
     best = std::min(best,
-                    config_.fabric.backing_store.transfer_cost(meta.size));
+                    read_cost(config_.fabric, read_tier(loc, node), meta.size));
   }
   return best;
 }
 
 int CacheManager::nearest_node_with(std::string_view name,
                                     int from_node) const {
+  check_node(from_node);
   MutexLock lock(mutex_);
   auto it = directory_.find(object_id(name));
   if (it == directory_.end()) return -1;
-  const Meta& meta = it->second;
-  // Rank: local < remote DRAM < remote SSD; ties to the lower node id.
+  // Copies rank in read order; ties go to the lower node id.
   int best = -1;
-  int best_rank = 1 << 30;
-  for (const auto& loc : meta.copies) {
-    int rank;
-    if (loc.node == from_node) {
-      rank = loc.tier == TierKind::kDram ? 0 : 1;
-    } else {
-      rank = loc.tier == TierKind::kDram ? 2 : 3;
-    }
-    if (rank < best_rank || (rank == best_rank && loc.node < best)) {
-      best_rank = rank;
+  ReadTier best_tier = ReadTier::kBacking;
+  for (const auto& loc : it->second.copies) {
+    const ReadTier tier = read_tier(loc, from_node);
+    if (best < 0 || tier < best_tier ||
+        (tier == best_tier && loc.node < best)) {
+      best_tier = tier;
       best = loc.node;
     }
   }
@@ -519,12 +423,12 @@ int CacheManager::nearest_node_with(std::string_view name,
 }
 
 void CacheManager::fail_node(int node) {
+  check_node(node);
   MutexLock lock(mutex_);
   // Abrupt loss of the node's fabric-attached DRAM and local SSD.
   fam_->fail_server(node);
   fam_->recover_server(node);
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  ns = NodeState{};
+  node_state(node) = NodeState{};
   for (auto& [id, meta] : directory_) {
     meta.copies.erase(
         std::remove_if(meta.copies.begin(), meta.copies.end(),
@@ -546,6 +450,7 @@ void CacheManager::invalidate(std::string_view name) {
 
 void CacheManager::relocate(sim::VirtualClock& clock, std::string_view name,
                             int target_node) {
+  check_node(target_node);
   MutexLock lock(mutex_);
   ObjectId id = object_id(name);
   auto it = directory_.find(id);
@@ -570,13 +475,15 @@ void CacheManager::relocate(sim::VirtualClock& clock, std::string_view name,
 }
 
 std::uint64_t CacheManager::dram_used(int node) const {
+  check_node(node);
   MutexLock lock(mutex_);
-  return nodes_[static_cast<std::size_t>(node)].dram_used;
+  return nodes_[static_cast<std::size_t>(node)].dram.used();
 }
 
 std::uint64_t CacheManager::ssd_used(int node) const {
+  check_node(node);
   MutexLock lock(mutex_);
-  return nodes_[static_cast<std::size_t>(node)].ssd_used;
+  return nodes_[static_cast<std::size_t>(node)].ssd.used();
 }
 
 std::size_t CacheManager::num_objects() const {

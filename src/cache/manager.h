@@ -72,12 +72,21 @@ struct CacheConfig {
   std::string name;
 };
 
+/// What a get() found: the payload, and the tier that served it.
+struct CacheRead {
+  std::optional<std::string> payload;  // nullopt = total miss
+  ReadTier tier = ReadTier::kBacking;  // meaningful only on a hit
+  bool has_value() const { return payload.has_value(); }
+};
+
 /// Placement hint for put(): pin the first copy to a specific node
 /// ("user-provided hints or operator-defined policies", §3.2).
 struct PlacementHint {
   int target_node = -1;  // -1: the writing node
 };
 
+/// Every node id passed in must lie in [0, num_nodes), or the call aborts;
+/// put()'s placement hint alone is clamped into range.
 class CacheManager {
  public:
   explicit CacheManager(CacheConfig config);
@@ -90,11 +99,12 @@ class CacheManager {
   void put(sim::VirtualClock& clock, int node, std::string_view name,
            std::string payload, PlacementHint hint = {}) IDS_EXCLUDES(mutex_);
 
-  /// Fetches the object, charging `clock` for the cheapest available path.
-  /// nullopt = total miss (not cached anywhere and not in backing store);
-  /// the caller is expected to recompute and put().
-  std::optional<std::string> get(sim::VirtualClock& clock, int node,
-                                 std::string_view name) IDS_EXCLUDES(mutex_);
+  /// Fetches the object, charging `clock` for the cheapest available path,
+  /// and says which tier served it. A total miss (not cached anywhere and
+  /// not in the backing store) has no payload; the caller is expected to
+  /// recompute and put().
+  CacheRead get(sim::VirtualClock& clock, int node, std::string_view name)
+      IDS_EXCLUDES(mutex_);
 
   /// True if a get() would succeed (any tier or backing store).
   bool contains(std::string_view name) const IDS_EXCLUDES(mutex_);
@@ -129,11 +139,11 @@ class CacheManager {
   void relocate(sim::VirtualClock& clock, std::string_view name,
                 int target_node) IDS_EXCLUDES(mutex_);
 
-  /// Snapshot of the counters since the last reset_stats(). The live
-  /// counters are telemetry registry instruments (monotonic, shared with
-  /// the Prometheus exposition); this returns their delta against the
-  /// baseline captured by reset_stats(), so existing exact-count tests
-  /// keep working while the registry view never rewinds.
+  /// Snapshot of the counters of every client since the last
+  /// reset_stats(): the live registry instruments (monotonic, shared with
+  /// the Prometheus exposition) minus the baseline reset_stats() captured,
+  /// so tests and benches count exactly while the registry never rewinds.
+  /// A query counts its own cache reads instead (engine INVOKE).
   CacheStats stats() const IDS_EXCLUDES(mutex_);
   void reset_stats() IDS_EXCLUDES(mutex_);
 
@@ -148,20 +158,63 @@ class CacheManager {
     std::vector<Location> copies;
     bool in_backing = false;
   };
+  /// One node tier (DRAM or SSD): its resident objects in LRU order and
+  /// the bytes they take. An SSD entry holds its payload; a DRAM copy's
+  /// bytes live in its FAM region.
+  class TierLru {
+   public:
+    bool empty() const { return order_.empty(); }
+    std::uint64_t used() const { return used_; }
+    /// The least recently used object; the tier must not be empty.
+    ObjectId lru() const { return order_.back(); }
+    /// The stored payload (empty for DRAM), or nullptr if not resident.
+    const std::string* find(ObjectId id) const {
+      auto it = entries_.find(id);
+      return it == entries_.end() ? nullptr : &it->second.payload;
+    }
+    /// Adds a resident object as the most recently used.
+    void insert(ObjectId id, std::uint64_t size, std::string payload = {}) {
+      order_.push_front(id);
+      entries_[id] = Entry{order_.begin(), size, std::move(payload)};
+      used_ += size;
+    }
+    /// Marks a resident object most recently used; no-op otherwise.
+    void touch(ObjectId id) {
+      auto it = entries_.find(id);
+      if (it != entries_.end()) {
+        order_.splice(order_.begin(), order_, it->second.pos);
+      }
+    }
+    /// Removes the object and its bytes; no-op if not resident.
+    void erase(ObjectId id) {
+      auto it = entries_.find(id);
+      if (it == entries_.end()) return;
+      order_.erase(it->second.pos);
+      used_ -= it->second.size;
+      entries_.erase(it);
+    }
+
+   private:
+    struct Entry {
+      std::list<ObjectId>::iterator pos;
+      std::uint64_t size = 0;
+      std::string payload;
+    };
+    std::list<ObjectId> order_;  // front = most recently used
+    std::unordered_map<ObjectId, Entry, ObjectIdHash> entries_;
+    std::uint64_t used_ = 0;
+  };
   struct NodeState {
-    std::list<ObjectId> dram_lru;  // front = most recently used
-    std::unordered_map<ObjectId, std::list<ObjectId>::iterator, ObjectIdHash>
-        dram_pos;
-    std::uint64_t dram_used = 0;
-    std::list<ObjectId> ssd_lru;
-    std::unordered_map<ObjectId, std::list<ObjectId>::iterator, ObjectIdHash>
-        ssd_pos;
-    std::unordered_map<ObjectId, std::string, ObjectIdHash> ssd_data;
-    std::uint64_t ssd_used = 0;
+    TierLru dram;
+    TierLru ssd;
+    TierLru& tier(TierKind t) { return t == TierKind::kDram ? dram : ssd; }
   };
 
   /// FAM allocation name for a (object, node) DRAM copy.
   static std::string fam_name(ObjectId id, int node);
+
+  /// Aborts unless `node` is in [0, num_nodes).
+  void check_node(int node) const;
 
   int directory_node(ObjectId id) const {
     return static_cast<int>(id.value % static_cast<std::uint64_t>(config_.num_nodes));
@@ -183,41 +236,41 @@ class CacheManager {
 
   /// get() body; charge_serialization of the fetched artifact is the
   /// caller's job, outside the critical section.
-  std::optional<std::string> get_locked(sim::VirtualClock& clock, int node,
-                                        std::string_view name)
-      IDS_REQUIRES(mutex_);
+  CacheRead get_locked(sim::VirtualClock& clock, int node,
+                       std::string_view name) IDS_REQUIRES(mutex_);
 
   // All helpers below require mutex_ held (machine-checked under Clang).
   // The placement helpers return Status instead of asserting: a directory
   // entry that went missing or a FAM-side failure is *recoverable* (the
   // authoritative copy lives in the backing store), so the public
   // operations degrade to an uncached read/write instead of aborting.
-  void touch_dram(int node, ObjectId id) IDS_REQUIRES(mutex_);
-  void touch_ssd(int node, ObjectId id) IDS_REQUIRES(mutex_);
+  NodeState& node_state(int node) IDS_REQUIRES(mutex_) {
+    return nodes_[static_cast<std::size_t>(node)];
+  }
   bool read_dram_copy(sim::VirtualClock& clock, int reader_node, int owner_node,
                       const Meta& meta, std::string* out) const
       IDS_REQUIRES(mutex_);
   Status insert_dram(sim::VirtualClock& clock, int node, ObjectId id,
                      Meta& meta, const std::string& payload)
       IDS_REQUIRES(mutex_);
-  Status evict_dram_lru(sim::VirtualClock& clock, int node)
-      IDS_REQUIRES(mutex_);
-  Status insert_ssd(int node, ObjectId id, Meta& meta, std::string payload)
-      IDS_REQUIRES(mutex_);
+  /// Evicts the tier's least recently used copies until `size` more bytes
+  /// fit or the tier is empty. A DRAM victim spills to the node's SSD (when
+  /// enabled and it fits); an SSD victim is dropped.
+  Status make_room(sim::VirtualClock& clock, int node, TierKind kind,
+                   std::uint64_t size) IDS_REQUIRES(mutex_);
+  Status insert_ssd(sim::VirtualClock& clock, int node, ObjectId id,
+                    Meta& meta, std::string payload) IDS_REQUIRES(mutex_);
   void drop_copy(ObjectId id, Meta& meta, const Location& loc)
-      IDS_REQUIRES(mutex_);
-  void remove_copy_record(Meta& meta, const Location& loc)
       IDS_REQUIRES(mutex_);
 
   /// ids_cache_* instruments in the configured registry, labeled with
   /// this cache's instance name. Resolved once at construction; the
   /// increments themselves are lock-free atomics.
   struct Telemetry {
-    telemetry::Counter* hits_local_dram;
-    telemetry::Counter* hits_local_ssd;
-    telemetry::Counter* hits_remote_dram;
-    telemetry::Counter* hits_remote_ssd;
-    telemetry::Counter* hits_backing;
+    PerTier<telemetry::Counter*> hits;  // ids_cache_hits_total{cache,tier}
+    // ids_cache_tier_read_bytes_total{cache,tier}: read-path payload
+    // bytes attributed to the serving tier.
+    PerTier<telemetry::Counter*> read_bytes;
     telemetry::Counter* misses;
     telemetry::Counter* puts;
     telemetry::Counter* spills_to_ssd;
@@ -225,13 +278,6 @@ class CacheManager {
     telemetry::Counter* promotions;
     telemetry::Counter* bytes_read;
     telemetry::Counter* bytes_written;
-    // ids_cache_tier_read_bytes_total{cache,tier}: read-path payload
-    // bytes attributed to the serving tier (per-query accounting).
-    telemetry::Counter* read_bytes_local_dram;
-    telemetry::Counter* read_bytes_local_ssd;
-    telemetry::Counter* read_bytes_remote_dram;
-    telemetry::Counter* read_bytes_remote_ssd;
-    telemetry::Counter* read_bytes_backing;
   };
 
   /// Current absolute values of the registry counters as a CacheStats.

@@ -2,19 +2,42 @@
 
 // Cache instrumentation: where did reads get served, what moved where.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ids::cache {
 
+/// The five tiers a read can be served from, in read order (cheapest
+/// first); see the read path in manager.h.
+enum class ReadTier : std::uint8_t {
+  kLocalDram, kLocalSsd, kRemoteDram, kRemoteSsd, kBacking
+};
+inline constexpr std::size_t kNumReadTiers = 5;
+
+/// Tier names, indexed by ReadTier: the `tier` label of the ids_cache_*
+/// series, the keys of CacheStats::to_string() and of a query account's
+/// tiers.
+inline constexpr std::array<std::string_view, kNumReadTiers> kReadTierNames = {
+    "local_dram", "local_ssd", "remote_dram", "remote_ssd", "backing"};
+
+/// One value per read tier, indexed by ReadTier.
+template <typename T>
+struct PerTier {
+  std::array<T, kNumReadTiers> n{};
+
+  T& operator[](ReadTier t) { return n[static_cast<std::size_t>(t)]; }
+  const T& operator[](ReadTier t) const {
+    return n[static_cast<std::size_t>(t)];
+  }
+};
+
 struct CacheStats {
-  // Read path, by serving tier.
-  std::uint64_t hits_local_dram = 0;
-  std::uint64_t hits_local_ssd = 0;
-  std::uint64_t hits_remote_dram = 0;
-  std::uint64_t hits_remote_ssd = 0;
-  std::uint64_t hits_backing = 0;   // served by persistent backing store
-  std::uint64_t misses = 0;         // not even in backing: caller recomputes
+  // Read path, by serving tier (backing = the persistent backing store).
+  PerTier<std::uint64_t> hits;
+  std::uint64_t misses = 0;  // not even in backing: caller recomputes
 
   // Write / movement path.
   std::uint64_t puts = 0;
@@ -24,54 +47,31 @@ struct CacheStats {
 
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  /// Read-path payload bytes by serving tier (they sum to bytes_read).
+  PerTier<std::uint64_t> read_bytes;
 
-  // Read-path payload bytes by serving tier (they sum to bytes_read).
-  // Feeds per-query TierBytes accounting in telemetry/query_log.h.
-  std::uint64_t read_bytes_local_dram = 0;
-  std::uint64_t read_bytes_local_ssd = 0;
-  std::uint64_t read_bytes_remote_dram = 0;
-  std::uint64_t read_bytes_remote_ssd = 0;
-  std::uint64_t read_bytes_backing = 0;
+  /// Counts one read served from `tier`.
+  void count_hit(ReadTier tier, std::uint64_t bytes) {
+    ++hits[tier];
+    bytes_read += bytes;
+    read_bytes[tier] += bytes;
+  }
 
   std::uint64_t total_hits() const {
-    return hits_local_dram + hits_local_ssd + hits_remote_dram +
-           hits_remote_ssd + hits_backing;
+    std::uint64_t total = 0;
+    for (std::uint64_t h : hits.n) total += h;
+    return total;
   }
-  /// Hits served from cache tiers (excluding the backing store).
-  std::uint64_t cache_tier_hits() const {
-    return total_hits() - hits_backing;
-  }
+
+  /// Field-wise sum, e.g. of per-rank tallies.
+  CacheStats& operator+=(const CacheStats& o);
 
   /// Field-wise difference against an earlier snapshot of the same
   /// monotonic counters. CacheManager::stats() is implemented as
   /// `live_counters.since(baseline)` — the live counters come from the
   /// telemetry registry and never reset, so reset_stats() just moves the
   /// baseline.
-  CacheStats since(const CacheStats& baseline) const {
-    CacheStats d;
-    d.hits_local_dram = hits_local_dram - baseline.hits_local_dram;
-    d.hits_local_ssd = hits_local_ssd - baseline.hits_local_ssd;
-    d.hits_remote_dram = hits_remote_dram - baseline.hits_remote_dram;
-    d.hits_remote_ssd = hits_remote_ssd - baseline.hits_remote_ssd;
-    d.hits_backing = hits_backing - baseline.hits_backing;
-    d.misses = misses - baseline.misses;
-    d.puts = puts - baseline.puts;
-    d.spills_to_ssd = spills_to_ssd - baseline.spills_to_ssd;
-    d.ssd_drops = ssd_drops - baseline.ssd_drops;
-    d.promotions = promotions - baseline.promotions;
-    d.bytes_read = bytes_read - baseline.bytes_read;
-    d.bytes_written = bytes_written - baseline.bytes_written;
-    d.read_bytes_local_dram =
-        read_bytes_local_dram - baseline.read_bytes_local_dram;
-    d.read_bytes_local_ssd =
-        read_bytes_local_ssd - baseline.read_bytes_local_ssd;
-    d.read_bytes_remote_dram =
-        read_bytes_remote_dram - baseline.read_bytes_remote_dram;
-    d.read_bytes_remote_ssd =
-        read_bytes_remote_ssd - baseline.read_bytes_remote_ssd;
-    d.read_bytes_backing = read_bytes_backing - baseline.read_bytes_backing;
-    return d;
-  }
+  CacheStats since(const CacheStats& baseline) const;
 
   std::string to_string() const;
 };

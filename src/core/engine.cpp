@@ -107,7 +107,8 @@ class QueryExecution {
                      ? opts.metrics
                      : &telemetry::MetricsRegistry::global()),
         p_(opts.topology.num_ranks()),
-        clocks_(static_cast<std::size_t>(p_)) {
+        clocks_(static_cast<std::size_t>(p_)),
+        rank_spans_(tracer_ != nullptr ? static_cast<std::size_t>(p_) : 0) {
     Rng seeder(opts.seed);
     rank_rngs_.reserve(static_cast<std::size_t>(p_));
     for (int r = 0; r < p_; ++r) {
@@ -120,7 +121,6 @@ class QueryExecution {
     metrics_->counter("ids_engine_queries_total")->inc();
     query_wall_start_ = telemetry::Tracer::wall_now_ns();
     stage_wall_start_ = query_wall_start_;
-    if (opts_.cache != nullptr) cache_query_baseline_ = opts_.cache->stats();
     if (tracer_ != nullptr) {
       // First span index of this query, so the query log gets exactly
       // this query's tree out of a tracer shared across queries.
@@ -218,6 +218,10 @@ class QueryExecution {
           {name_, seconds,
            static_cast<double>(wall_now - q_.stage_wall_start_) * 1e-9});
       if (q_.tracer_ != nullptr) {
+        for (auto& spans : q_.rank_spans_) {
+          q_.tracer_->append(std::move(spans), q_.stage_span_);
+          spans.clear();
+        }
         q_.tracer_->end_span(q_.stage_span_, now, wall_now);
         q_.stage_span_ = telemetry::kNoSpan;
       }
@@ -253,22 +257,28 @@ class QueryExecution {
   /// lambda: a "rank" span under the current stage on rank r's modeled
   /// timeline, from the rank clock at construction to the rank clock at
   /// scope exit. call() opens a child span the same way for one call
-  /// inside the operator (cache get/put, UDF execution). Safe to use from
-  /// concurrent rank lambdas; with tracing off it reads no wall clock and
-  /// takes no lock.
+  /// inside the operator (cache get/put, UDF execution). Spans go to rank
+  /// r's buffer, which the Stage appends to the tracer in rank order, so
+  /// span ids never depend on thread timing. Safe to use from concurrent
+  /// rank lambdas; with tracing off it reads no wall clock and takes no
+  /// lock.
   class RankOp {
    public:
     RankOp(QueryExecution& q, std::string_view name, int r)
-        : RankOp(q, name, "rank", q.stage_span_, r) {}
+        : RankOp(q, name, "rank", telemetry::kNoSpan, r) {}
     RankOp(const RankOp&) = delete;
     RankOp& operator=(const RankOp&) = delete;
 
     ~RankOp() {
-      if (q_.tracer_ != nullptr) q_.tracer_->end_span(span_, clock().now());
+      if (span_ == telemetry::kNoSpan) return;
+      telemetry::Span& s = span();
+      s.virt_end = clock().now();
+      s.wall_end_ns = telemetry::Tracer::wall_now_ns();
     }
 
     void attr(std::string_view key, std::uint64_t value) {
-      if (q_.tracer_ != nullptr) q_.tracer_->add_attr(span_, key, value);
+      if (span_ == telemetry::kNoSpan) return;
+      span().attrs.emplace_back(std::string(key), std::to_string(value));
     }
 
     RankOp call(std::string_view name, std::string_view category) {
@@ -276,22 +286,29 @@ class QueryExecution {
     }
 
    private:
+    /// `parent` is a span of this rank's buffer, or kNoSpan for the stage.
     RankOp(QueryExecution& q, std::string_view name,
            std::string_view category, telemetry::SpanId parent, int r)
         : q_(q), r_(r) {
-      if (q_.tracer_ != nullptr) {
-        span_ = q_.tracer_->begin_span(name, category, parent, r,
-                                       clock().now());
-      }
+      if (q_.tracer_ == nullptr) return;
+      auto& spans = q_.rank_spans_[static_cast<std::size_t>(r_)];
+      const sim::Nanos now = clock().now();
+      const std::uint64_t wall = telemetry::Tracer::wall_now_ns();
+      span_ = static_cast<telemetry::SpanId>(spans.size() + 1);
+      spans.push_back({std::string(name), std::string(category), span_,
+                       parent, r, now, now, wall, wall, {}});
     }
 
     const sim::VirtualClock& clock() const {
       return q_.clocks_.at(static_cast<std::size_t>(r_));
     }
+    telemetry::Span& span() {
+      return q_.rank_spans_[static_cast<std::size_t>(r_)][span_ - 1];
+    }
 
     QueryExecution& q_;
     int r_;
-    telemetry::SpanId span_ = telemetry::kNoSpan;
+    telemetry::SpanId span_ = telemetry::kNoSpan;  // id in the rank buffer
   };
 
   double speed(int r) const { return opts_.hetero.at(r); }
@@ -317,8 +334,8 @@ class QueryExecution {
     for (std::size_t r = 0; r < clocks_.size(); ++r) clocks_.at(r).advance(o);
   }
 
-  /// Seals result_.account at the end of run(): whole-query times, cache
-  /// tier deltas over the query, and the ids_query_* instruments.
+  /// Seals result_.account at the end of run(): whole-query times, the
+  /// query's own cache reads by tier, and the ids_query_* instruments.
   /// QueryResult's stage list and cache counters are derived from it.
   void finish_account(std::uint64_t wall_end) {
     telemetry::QueryResourceAccount& acct = result_.account;
@@ -330,23 +347,15 @@ class QueryExecution {
     for (const auto& st : acct.stages) {
       result_.stages.push_back({st.stage, st.modeled_seconds});
     }
-    if (opts_.cache != nullptr) {
-      const cache::CacheStats d =
-          opts_.cache->stats().since(cache_query_baseline_);
-      acct.cache_bytes_written = d.bytes_written;
-      acct.cache_misses = d.misses;
-      result_.cache_hits = static_cast<std::size_t>(d.total_hits());
-      result_.cache_misses = static_cast<std::size_t>(d.misses);
-      auto tier = [&acct](const char* name, std::uint64_t bytes,
-                          std::uint64_t hits) {
-        if (bytes == 0 && hits == 0) return;  // only tiers that served
-        acct.tiers.push_back({name, bytes, hits});
-      };
-      tier("local_dram", d.read_bytes_local_dram, d.hits_local_dram);
-      tier("local_ssd", d.read_bytes_local_ssd, d.hits_local_ssd);
-      tier("remote_dram", d.read_bytes_remote_dram, d.hits_remote_dram);
-      tier("remote_ssd", d.read_bytes_remote_ssd, d.hits_remote_ssd);
-      tier("backing", d.read_bytes_backing, d.hits_backing);
+    const cache::CacheStats& c = cache_tally_;
+    acct.cache_bytes_written = c.bytes_written;
+    acct.cache_misses = c.misses;
+    result_.cache_hits = static_cast<std::size_t>(c.total_hits());
+    result_.cache_misses = static_cast<std::size_t>(c.misses);
+    for (std::size_t i = 0; i < cache::kNumReadTiers; ++i) {
+      if (c.read_bytes.n[i] == 0 && c.hits.n[i] == 0) continue;  // unused
+      acct.tiers.push_back({std::string(cache::kReadTierNames[i]),
+                            c.read_bytes.n[i], c.hits.n[i]});
     }
     metrics_->counter("ids_query_rows_gathered_total")
         ->inc(acct.rows_gathered);
@@ -1086,11 +1095,9 @@ class QueryExecution {
     const bool cached = inv.use_cache && opts_.cache != nullptr;
     Stage stage(*this, "invoke:" + inv.udf);
 
-    // The serialization floor below counts this stage's cache operations
-    // from the cache's own telemetry counters (delta over this stage).
-    cache::CacheStats cache_before;
-    if (cached) cache_before = opts_.cache->stats();
-
+    // This stage's own cache reads and writes, one tally per rank, summed
+    // after the rank loop; other clients of the shared cache never show.
+    std::vector<cache::CacheStats> rank_tally(cached ? clocks_.size() : 0);
     std::atomic<std::size_t> invoked{0};
 
     runtime::for_each_rank(p_, "rank.invoke", [&](int r) {
@@ -1122,12 +1129,15 @@ class QueryExecution {
         if (cached) {
           key = render_cache_key(inv, args);
           RankOp get = op.call("cache.get", "cache");
-          auto payload = opts_.cache->get(clocks_.at(ru),
-                                          cache_node_of_rank(r), key);
-          get.attr("hit", payload ? 1 : 0);
-          if (payload) {
-            value = std::strtod(payload->c_str(), nullptr);
+          const cache::CacheRead read =
+              opts_.cache->get(clocks_.at(ru), cache_node_of_rank(r), key);
+          get.attr("hit", read.has_value() ? 1 : 0);
+          if (read.has_value()) {
+            rank_tally[ru].count_hit(read.tier, read.payload->size());
+            value = std::strtod(read.payload->c_str(), nullptr);
             have = true;
+          } else {
+            ++rank_tally[ru].misses;
           }
         }
         if (!have) {
@@ -1146,32 +1156,34 @@ class QueryExecution {
         }
         if (!have && cached) {
           RankOp put = op.call("cache.put", "cache");
+          std::string payload = make_payload(value, inv.cached_payload_bytes);
+          rank_tally[ru].bytes_written += payload.size();
           opts_.cache->put(clocks_.at(ru), cache_node_of_rank(r), key,
-                           make_payload(value, inv.cached_payload_bytes));
+                           std::move(payload));
         }
         t.set_num(row, out_col, value);
         clocks_.at(ru).advance(ctx.cost);
       }
     });
     result_.rows_invoked += invoked.load();
+    cache::CacheStats stage_tally;
+    for (const auto& t : rank_tally) stage_tally += t;
+    cache_tally_ += stage_tally;
 
     // Shared-server queueing of the cache's (de)serialization service: a
     // single server processing every cache operation of this stage
     // back-to-back bounds the stage below by ops x service time (the
     // saturated busy period). Per-op latency was already charged by the
     // cache; this enforces the aggregate-throughput cap deterministically.
-    if (cached) {
-      double service = opts_.cache->config().serialization_service_seconds;
-      if (service > 0.0) {
-        const cache::CacheStats delta =
-            opts_.cache->stats().since(cache_before);
-        std::uint64_t ops = delta.total_hits() + delta.misses;  // hit or put
-        sim::Nanos floor =
-            last_mark_ +
-            sim::from_seconds(service * static_cast<double>(ops));
-        for (std::size_t r = 0; r < clocks_.size(); ++r) {
-          clocks_.at(r).raise_to(floor);
-        }
+    const double service =
+        cached ? opts_.cache->config().serialization_service_seconds : 0.0;
+    if (service > 0.0) {
+      // The stage's own operations: every get hit or miss-then-put.
+      std::uint64_t ops = stage_tally.total_hits() + stage_tally.misses;
+      sim::Nanos floor =
+          last_mark_ + sim::from_seconds(service * static_cast<double>(ops));
+      for (std::size_t r = 0; r < clocks_.size(); ++r) {
+        clocks_.at(r).raise_to(floor);
       }
     }
   }
@@ -1252,15 +1264,17 @@ class QueryExecution {
 
   int p_;
   sim::ClockSet clocks_;
+  // Per rank: its spans in the open stage (RankOp); empty when untraced.
+  std::vector<std::vector<telemetry::Span>> rank_spans_;
   std::vector<SolutionTable> parts_;
   std::vector<Rng> rank_rngs_;
   QueryResult result_;
   sim::Nanos last_mark_ = 0;
 
-  // Per-query resource accounting baselines.
+  // Per-query resource accounting.
   std::uint64_t query_wall_start_ = 0;
   std::size_t trace_base_ = 0;  // tracer_->size() at run() start
-  cache::CacheStats cache_query_baseline_;
+  cache::CacheStats cache_tally_;  // this query's own cache reads and writes
 };
 
 }  // namespace

@@ -91,8 +91,8 @@ struct QueryResult {
   std::size_t rows_after_patterns = 0;
   std::size_t rows_after_filters = 0;
   std::size_t rows_invoked = 0;
-  std::size_t cache_hits = 0;    // derived from the query's cache counter
-  std::size_t cache_misses = 0;  // delta, like account.tiers
+  std::size_t cache_hits = 0;    // the query's own INVOKE cache reads,
+  std::size_t cache_misses = 0;  // like account.tiers
   bool used_throughput_rebalance = false;
 
   /// Per-query resource accounting (ISSUE 9): cache bytes by serving

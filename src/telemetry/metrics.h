@@ -14,9 +14,9 @@
 //
 // Instruments are identified by (name, label set). Names follow the
 // repo convention `ids_<subsystem>_<name>[_unit][_total]`, e.g.
-// `ids_cache_hits_total{cache="cache0",tier="local_dram"}`. Lookup
-// returns a stable pointer that stays valid for the registry's lifetime,
-// so hot paths resolve an instrument once and then touch only atomics.
+// `ids_cache_misses_total{cache="cache0"}`. Lookup returns a stable
+// pointer that stays valid for the registry's lifetime, so hot paths
+// resolve an instrument once and then touch only atomics.
 //
 // The registry itself is lock-sharded like udf::UdfProfiler: lookups
 // hash the fully-qualified key onto one of 16 shards, each guarded by

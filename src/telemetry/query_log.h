@@ -42,7 +42,7 @@ struct StageAccount {
 
 /// Bytes and hits served by one cache tier during the query.
 struct TierBytes {
-  std::string tier;  // "local_dram", "local_ssd", "remote_dram", ...
+  std::string tier;  // a cache::kReadTierNames entry
   std::uint64_t bytes_in = 0;  // payload bytes read from this tier
   std::uint64_t hits = 0;
 };

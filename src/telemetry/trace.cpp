@@ -180,35 +180,12 @@ Span* Tracer::find_locked(SpanId id) {
 }
 
 SpanId Tracer::begin_span(std::string_view name, std::string_view category,
-                          SpanId parent, int rank, sim::Nanos virt_now) {
-  return begin_span(name, category, parent, rank, virt_now, wall_now_ns());
-}
-
-SpanId Tracer::begin_span(std::string_view name, std::string_view category,
                           SpanId parent, int rank, sim::Nanos virt_now,
                           std::uint64_t wall) {
-  MutexLock lock(mutex_);
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    dropped_counter_->inc();
-    return kNoSpan;
-  }
-  Span span;
-  span.name = std::string(name);
-  span.category = std::string(category);
-  span.id = static_cast<SpanId>(spans_.size() + 1);
-  span.parent = parent;
-  span.rank = rank;
-  span.virt_start = virt_now;
-  span.virt_end = virt_now;
-  span.wall_start_ns = wall;
-  span.wall_end_ns = wall;
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
-}
-
-void Tracer::end_span(SpanId id, sim::Nanos virt_now) {
-  end_span(id, virt_now, wall_now_ns());
+  std::vector<Span> one;
+  one.push_back({std::string(name), std::string(category), 1, kNoSpan, rank,
+                 virt_now, virt_now, wall, wall, {}});
+  return append(std::move(one), parent);
 }
 
 void Tracer::end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall) {
@@ -217,6 +194,24 @@ void Tracer::end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall) {
   if (span == nullptr) return;
   span->virt_end = virt_now;
   span->wall_end_ns = wall;
+}
+
+SpanId Tracer::append(std::vector<Span> batch, SpanId parent) {
+  MutexLock lock(mutex_);
+  const auto base = static_cast<SpanId>(spans_.size());
+  const std::size_t room =
+      max_spans_ > spans_.size() ? max_spans_ - spans_.size() : 0;
+  if (batch.size() > room) {
+    dropped_ += batch.size() - room;
+    dropped_counter_->inc(batch.size() - room);
+    batch.resize(room);
+  }
+  for (Span& span : batch) {
+    span.id += base;
+    span.parent = span.parent == kNoSpan ? parent : span.parent + base;
+    spans_.push_back(std::move(span));
+  }
+  return batch.empty() ? kNoSpan : base + 1;
 }
 
 void Tracer::add_attr(SpanId id, std::string_view key, std::string_view value) {

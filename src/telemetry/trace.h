@@ -87,21 +87,24 @@ class Tracer {
   /// pass their own wall stamps (see below) use the same clock.
   static std::uint64_t wall_now_ns();
 
-  /// Opens a span at modeled time `virt_now`; wall start is sampled here.
+  /// Opens a span at modeled time `virt_now`, wall-stamped now unless the
+  /// caller passes a stamp it shares with its own record of the interval.
   /// Returns kNoSpan when the span cap is hit (end_span/add_attr on
   /// kNoSpan are no-ops, so call sites stay unconditional).
   SpanId begin_span(std::string_view name, std::string_view category,
-                    SpanId parent, int rank, sim::Nanos virt_now)
-      IDS_EXCLUDES(mutex_);
-  /// As above, stamped with the caller's wall start instead (a stamp the
-  /// caller shares with its own record of the interval).
-  SpanId begin_span(std::string_view name, std::string_view category,
                     SpanId parent, int rank, sim::Nanos virt_now,
-                    std::uint64_t wall_start_ns) IDS_EXCLUDES(mutex_);
-
-  void end_span(SpanId id, sim::Nanos virt_now) IDS_EXCLUDES(mutex_);
-  void end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall_end_ns)
+                    std::uint64_t wall_start_ns = wall_now_ns())
       IDS_EXCLUDES(mutex_);
+  void end_span(SpanId id, sim::Nanos virt_now,
+                std::uint64_t wall_end_ns = wall_now_ns()) IDS_EXCLUDES(mutex_);
+
+  /// Appends spans recorded away from the tracer, in their order, and
+  /// returns the new id of the first (kNoSpan if none was kept). In `batch`
+  /// a span's id is its 1-based position and a parent of kNoSpan stands
+  /// for `parent`; both are renumbered into this tracer's ids. The
+  /// max_spans cap drops the batch's tail (parents come before their
+  /// children, so a kept span never loses its parent).
+  SpanId append(std::vector<Span> batch, SpanId parent) IDS_EXCLUDES(mutex_);
 
   void add_attr(SpanId id, std::string_view key, std::string_view value)
       IDS_EXCLUDES(mutex_);

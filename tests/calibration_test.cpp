@@ -119,8 +119,8 @@ TEST(Calibration, WhatIsQueryIsMilliseconds) {
 
 TEST(Calibration, CacheStatsRendersAllCounters) {
   cache::CacheStats s;
-  s.hits_local_dram = 1;
-  s.hits_backing = 2;
+  s.hits[cache::ReadTier::kLocalDram] = 1;
+  s.hits[cache::ReadTier::kBacking] = 2;
   s.misses = 3;
   s.puts = 4;
   std::string str = s.to_string();
@@ -128,7 +128,6 @@ TEST(Calibration, CacheStatsRendersAllCounters) {
     EXPECT_NE(str.find(needle), std::string::npos) << needle;
   }
   EXPECT_EQ(s.total_hits(), 3u);
-  EXPECT_EQ(s.cache_tier_hits(), 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "cache/manager.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/engine.h"
 #include "core/rebalancer.h"
 #include "graph/dictionary.h"
 #include "sim/virtual_clock.h"
@@ -83,9 +85,9 @@ TEST(ConcurrencyStress, CacheManagerGetPutEvictAcrossTiers) {
           break;
         default: {
           auto hit = cache.get(clock, node, name);
-          if (hit) {
+          if (hit.has_value()) {
             // Payload integrity: size is a pure function of the object id.
-            EXPECT_EQ(hit->size(), 512 + 16 * static_cast<std::size_t>(obj));
+            EXPECT_EQ(hit.payload->size(), 512 + 16 * static_cast<std::size_t>(obj));
           }
           break;
         }
@@ -126,7 +128,7 @@ TEST(ConcurrencyStress, CacheManagerNodeFailureDuringTraffic) {
       // Write-through means a name we just put can never fully miss, even
       // if the owning node was failed in between: backing store survives.
       ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(hit->rfind("payload-", 0), 0u);
+      EXPECT_EQ(hit.payload->rfind("payload-", 0), 0u);
     }
   });
   failer.join();
@@ -170,6 +172,94 @@ TEST(ConcurrencyStress, CrossClusterBridgeStats) {
   EXPECT_GT(stats.local_hits + stats.peer_fetches + stats.misses, 0u);
   EXPECT_LE(stats.local_hits + stats.peer_fetches + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kOps);
+}
+
+TEST(ConcurrencyStress, EnginesSharingOneCacheEachSeeTheirSoloFigures) {
+  // Two engines share one cache and run the same cached INVOKE query at
+  // the same time under distinct cache prefixes. Each query's cache
+  // figures and modeled time must equal those of the engine's solo run:
+  // a query counts only its own cache reads and writes.
+  constexpr int kRanks = 4;
+  graph::TripleStore triples(kRanks);
+  store::FeatureStore features(kRanks);
+  for (int i = 0; i < 24; ++i) {
+    triples.add("item" + std::to_string(i), "type", "Item");
+  }
+  triples.finalize();
+  features.freeze();
+  const graph::Dictionary& d = triples.dict();
+  core::Query q;
+  q.patterns.push_back({graph::PatternTerm::Var("x"),
+                        graph::PatternTerm::Const(*d.lookup("type")),
+                        graph::PatternTerm::Const(*d.lookup("Item"))});
+  core::InvokeClause inv;
+  inv.udf = "work";
+  inv.args = {expr::Expr::Var("x")};
+  inv.out_var = "v";
+  inv.use_cache = true;
+  q.invokes.push_back(inv);
+
+  // Cold, warm and warm again, rendered as one line per query.
+  auto run_engine = [&](cache::CacheManager& cache, const std::string& prefix) {
+    telemetry::MetricsRegistry reg;
+    core::EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = &cache;
+    opts.metrics = &reg;
+    core::IdsEngine eng(opts, &triples, &features);
+    eng.registry().register_static(
+        "work", [](const udf::UdfContext& ctx, std::span<const expr::Value>) {
+          return udf::UdfResult{static_cast<double>(ctx.rank),
+                                sim::from_millis(1)};
+        });
+    core::Query mine = q;
+    mine.invokes[0].cache_prefix = prefix;
+    std::vector<std::string> lines;
+    for (int i = 0; i < 3; ++i) {
+      const core::QueryResult r = eng.execute(mine);
+      char line[160];
+      std::snprintf(line, sizeof(line),
+                    "hits=%zu misses=%zu acct_misses=%llu written=%llu "
+                    "total=%.17g tiers=",
+                    r.cache_hits, r.cache_misses,
+                    static_cast<unsigned long long>(r.account.cache_misses),
+                    static_cast<unsigned long long>(
+                        r.account.cache_bytes_written),
+                    r.total_seconds);
+      std::string text = line;
+      for (const auto& t : r.account.tiers) {
+        text += t.tier + ":" + std::to_string(t.hits) + "/" +
+                std::to_string(t.bytes_in) + " ";
+      }
+      lines.push_back(text);
+    }
+    return lines;
+  };
+  auto cache_config = [] {
+    cache::CacheConfig cc;
+    cc.num_nodes = 2;
+    cc.dram_capacity_bytes = 16 << 20;  // no evictions: tiers stay fixed
+    cc.serialization_service_seconds = 0.01;
+    return cc;
+  };
+
+  const std::vector<std::string> prefixes = {"e0", "e1"};
+  std::vector<std::vector<std::string>> solo;
+  for (const auto& prefix : prefixes) {
+    cache::CacheManager own(cache_config());
+    solo.push_back(run_engine(own, prefix));
+  }
+  cache::CacheManager shared(cache_config());
+  std::vector<std::vector<std::string>> together(prefixes.size());
+  std::vector<std::thread> threads;
+  for (std::size_t e = 0; e < prefixes.size(); ++e) {
+    threads.emplace_back(
+        [&, e] { together[e] = run_engine(shared, prefixes[e]); });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t e = 0; e < prefixes.size(); ++e) {
+    EXPECT_EQ(together[e], solo[e]) << "engine " << e;
+  }
 }
 
 TEST(ConcurrencyStress, DictionaryInterning) {

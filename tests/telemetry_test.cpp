@@ -768,8 +768,8 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   // The Chrome export of a real query is valid JSON.
   EXPECT_TRUE(JsonValidator(tracer.to_chrome_json()).valid());
 
-  // QueryResult hit/miss counters are derived from the cache's registry
-  // counters, so the two must agree exactly.
+  // The query is the cache's only client here, so its own hit/miss tally
+  // equals the cache's registry counters exactly.
   cache::CacheStats cs = cache.stats();
   EXPECT_EQ(r.cache_hits, cs.total_hits());
   EXPECT_EQ(r.cache_misses, cs.misses);
@@ -809,6 +809,49 @@ TEST_F(TelemetryEngineFixture, CappedTracerCountsEachDroppedSpanOnce) {
   EXPECT_EQ(capped.size(), 1u);
   EXPECT_EQ(capped.dropped(), n - 1);
   EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(), n - 1);
+}
+
+TEST_F(TelemetryEngineFixture, SpanListIsAFunctionOfTheQuery) {
+  // Two fresh engines run the same traced query: the span lists agree in
+  // ids, parents, names, ranks, modeled ranges and attrs. Only the wall
+  // stamps (and the root's wall-derived divergence) may differ. Under a
+  // cap the same spans are kept and dropped.
+  auto run = [this](std::size_t max_spans) {
+    MetricsRegistry reg;
+    Tracer tracer(max_spans, &reg);
+    cache::CacheConfig cc;
+    cc.num_nodes = 2;
+    cc.metrics = &reg;
+    cache::CacheManager cache(cc);
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = &cache;
+    opts.tracer = &tracer;
+    opts.metrics = &reg;
+    IdsEngine eng(opts, triples_.get(), features_.get());
+    register_udfs(&eng);
+    eng.execute(full_query());
+    std::vector<std::string> lines;
+    for (const Span& s : tracer.snapshot()) {
+      std::string line = std::to_string(s.id) + " " +
+                         std::to_string(s.parent) + " " + s.name + " " +
+                         s.category + " " + std::to_string(s.rank) + " " +
+                         std::to_string(s.virt_start) + ".." +
+                         std::to_string(s.virt_end);
+      for (const auto& [k, v] : s.attrs) {
+        if (k != "divergence_seconds") line += " " + k + "=" + v;
+      }
+      lines.push_back(line);
+    }
+    lines.push_back("dropped " + std::to_string(tracer.dropped()));
+    return lines;
+  };
+  for (std::size_t cap : {std::size_t{1} << 16, std::size_t{20}}) {
+    const std::vector<std::string> first = run(cap);
+    EXPECT_EQ(run(cap), first) << "cap " << cap;
+    EXPECT_EQ(run(cap), first) << "cap " << cap;
+  }
+  EXPECT_EQ(run(20).size(), 21u);  // 20 spans and the dropped line
 }
 
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
