@@ -54,7 +54,7 @@ class RunningStats {
   double stddev() const { return std::sqrt(variance()); }
 
   /// One-line summary (`n=5 mean=1.2 min=0.5 max=2 sd=0.6`) for text
-  /// reports — telemetry::Tracer::to_text_report() builds on this.
+  /// reports — telemetry::SpanTree::to_text_report() builds on this.
   std::string to_string() const {
     char buf[160];
     std::snprintf(buf, sizeof(buf), "n=%zu mean=%.6g min=%.6g max=%.6g sd=%.6g",

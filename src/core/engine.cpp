@@ -41,6 +41,11 @@ using graph::SolutionTable;
 using graph::TermId;
 using graph::TriplePattern;
 
+/// Span attribute text: integers in decimal, doubles round-trip exact.
+std::string attr_text(std::string_view v) { return std::string(v); }
+std::string attr_text(std::uint64_t v) { return std::to_string(v); }
+std::string attr_text(double v) { return telemetry::format_double(v); }
+
 /// Distinct id variables of a pattern, in s, p, o order.
 std::vector<std::string> pattern_vars(const TriplePattern& p) {
   std::vector<std::string> vars;
@@ -103,6 +108,7 @@ class QueryExecution {
         registry_(registry),
         profiler_(profiler),
         tracer_(opts.tracer),
+        trace_cap_(tracer_ != nullptr ? tracer_->max_spans() : 0),
         metrics_(opts.metrics != nullptr
                      ? opts.metrics
                      : &telemetry::MetricsRegistry::global()),
@@ -122,15 +128,11 @@ class QueryExecution {
     query_wall_start_ = telemetry::Tracer::wall_now_ns();
     stage_wall_start_ = query_wall_start_;
     if (tracer_ != nullptr) {
-      // First span index of this query, so the query log gets exactly
-      // this query's tree out of a tracer shared across queries.
-      trace_base_ = tracer_->size();
-      root_span_ =
-          tracer_->begin_span("query", "query", telemetry::kNoSpan, -1, 0);
+      root_span_ = open_span("query", "query", telemetry::kNoSpan);
       // Stamp the active SIMD dispatch level so every trace records which
       // kernel variants produced it (simd.cpp exports the matching gauge).
-      tracer_->add_attr(root_span_, "simd_level",
-                        simd::level_name(simd::active_level()));
+      span_attr(root_span_, "simd_level",
+                simd::level_name(simd::active_level()));
     }
 
     // Graph patterns in planner order.
@@ -156,30 +158,28 @@ class QueryExecution {
     const std::uint64_t wall_end = telemetry::Tracer::wall_now_ns();
     finish_account(wall_end);
     if (tracer_ != nullptr) {
-      tracer_->add_attr(
-          root_span_, "rows",
-          static_cast<std::uint64_t>(result_.solutions.num_rows()));
-      tracer_->add_attr(root_span_, "cache_hits",
-                        static_cast<std::uint64_t>(result_.cache_hits));
-      tracer_->add_attr(root_span_, "cache_misses",
-                        static_cast<std::uint64_t>(result_.cache_misses));
-      tracer_->add_attr(root_span_, "rows_partitioned",
-                        result_.account.rows_partitioned);
-      tracer_->add_attr(root_span_, "udf_invocations",
-                        result_.account.udf_invocations);
-      tracer_->add_attr(root_span_, "peak_solution_bytes",
-                        result_.account.peak_solution_bytes);
-      tracer_->add_attr(root_span_, "divergence_seconds",
-                        result_.account.divergence_seconds());
-      tracer_->end_span(root_span_, last_mark_, wall_end);
+      span_attr(root_span_, "rows",
+                static_cast<std::uint64_t>(result_.solutions.num_rows()));
+      span_attr(root_span_, "cache_hits",
+                static_cast<std::uint64_t>(result_.cache_hits));
+      span_attr(root_span_, "cache_misses",
+                static_cast<std::uint64_t>(result_.cache_misses));
+      span_attr(root_span_, "rows_partitioned",
+                result_.account.rows_partitioned);
+      span_attr(root_span_, "udf_invocations",
+                result_.account.udf_invocations);
+      span_attr(root_span_, "peak_solution_bytes",
+                result_.account.peak_solution_bytes);
+      span_attr(root_span_, "divergence_seconds",
+                result_.account.divergence_seconds());
+      end_span(root_span_, last_mark_, wall_end);
+      // The query's one call into the shared tracer: a copy of its tree,
+      // which the log record below keeps.
+      tracer_->append(trace_);
     }
     if (opts_.query_log != nullptr) {
-      telemetry::QueryRecord record{result_.account, {}, 0};
-      if (tracer_ != nullptr) {
-        record.spans = tracer_->snapshot_tail(trace_base_);
-        record.dropped = tracer_->dropped();
-      }
-      result_.account.sequence = opts_.query_log->push(std::move(record));
+      result_.account.sequence =
+          opts_.query_log->push({result_.account, std::move(trace_)});
     }
     return std::move(result_);
   }
@@ -187,7 +187,38 @@ class QueryExecution {
  private:
   // ---- Instrumentation seam ------------------------------------------------
   // Every span, stage metric and account entry of a query is written by
-  // the two scopes below; operators only open them.
+  // the two scopes below; operators only open them. Spans go to the
+  // query's own tree (trace_), which run() hands to the tracer once.
+
+  /// Opens a span on the engine's barrier timeline at the current modeled
+  /// mark and the stage's wall stamp.
+  telemetry::SpanId open_span(std::string_view name,
+                              std::string_view category,
+                              telemetry::SpanId parent) {
+    std::vector<telemetry::Span> one;
+    one.push_back({std::string(name), std::string(category), 1,
+                   telemetry::kNoSpan, -1, last_mark_, last_mark_,
+                   stage_wall_start_, stage_wall_start_, {}});
+    return trace_.append(std::move(one), parent, trace_cap_);
+  }
+
+  /// Ends span `id` at modeled time `virt_end` and wall stamp `wall_end`.
+  void end_span(telemetry::SpanId id, sim::Nanos virt_end,
+                std::uint64_t wall_end) {
+    if (telemetry::Span* s = trace_.find(id)) {
+      s->virt_end = virt_end;
+      s->wall_end_ns = wall_end;
+    }
+  }
+
+  /// Attribute on span `id`; a no-op when untraced or when the cap
+  /// dropped the span.
+  template <typename V>
+  void span_attr(telemetry::SpanId id, std::string_view key, V value) {
+    if (telemetry::Span* s = trace_.find(id)) {
+      s->attrs.emplace_back(std::string(key), attr_text(value));
+    }
+  }
 
   /// One pipeline stage, from construction to scope exit. Opening starts
   /// the stage's trace span at the account's own wall stamp. Closing
@@ -202,9 +233,7 @@ class QueryExecution {
     Stage(QueryExecution& q, std::string name)
         : q_(q), name_(std::move(name)) {
       if (q_.tracer_ != nullptr) {
-        q_.stage_span_ =
-            q_.tracer_->begin_span(name_, "stage", q_.root_span_, -1,
-                                   q_.last_mark_, q_.stage_wall_start_);
+        q_.stage_span_ = q_.open_span(name_, "stage", q_.root_span_);
       }
     }
     Stage(const Stage&) = delete;
@@ -217,14 +246,12 @@ class QueryExecution {
       q_.result_.account.stages.push_back(
           {name_, seconds,
            static_cast<double>(wall_now - q_.stage_wall_start_) * 1e-9});
-      if (q_.tracer_ != nullptr) {
-        for (auto& spans : q_.rank_spans_) {
-          q_.tracer_->append(std::move(spans), q_.stage_span_);
-          spans.clear();
-        }
-        q_.tracer_->end_span(q_.stage_span_, now, wall_now);
-        q_.stage_span_ = telemetry::kNoSpan;
+      for (auto& spans : q_.rank_spans_) {
+        q_.trace_.append(std::move(spans), q_.stage_span_, q_.trace_cap_);
+        spans.clear();
       }
+      q_.end_span(q_.stage_span_, now, wall_now);
+      q_.stage_span_ = telemetry::kNoSpan;
       q_.metrics_
           ->histogram("ids_engine_stage_seconds",
                       telemetry::latency_seconds_buckets(), {{"stage", name_}})
@@ -243,9 +270,7 @@ class QueryExecution {
     /// Attribute on the stage span.
     template <typename V>
     void attr(std::string_view key, V value) {
-      if (q_.tracer_ != nullptr) {
-        q_.tracer_->add_attr(q_.stage_span_, key, value);
-      }
+      q_.span_attr(q_.stage_span_, key, value);
     }
 
    private:
@@ -258,7 +283,7 @@ class QueryExecution {
   /// timeline, from the rank clock at construction to the rank clock at
   /// scope exit. call() opens a child span the same way for one call
   /// inside the operator (cache get/put, UDF execution). Spans go to rank
-  /// r's buffer, which the Stage appends to the tracer in rank order, so
+  /// r's buffer, which the Stage appends to the query's tree in rank order, so
   /// span ids never depend on thread timing. Safe to use from concurrent
   /// rank lambdas; with tracing off it reads no wall clock and takes no
   /// lock.
@@ -1257,10 +1282,12 @@ class QueryExecution {
   udf::UdfRegistry* registry_;
   udf::UdfProfiler* profiler_;
   telemetry::Tracer* tracer_;        // nullptr = tracing off
+  const std::size_t trace_cap_;      // tracer_->max_spans(), 0 untraced
   telemetry::MetricsRegistry* metrics_;
   telemetry::SpanId root_span_ = telemetry::kNoSpan;
   telemetry::SpanId stage_span_ = telemetry::kNoSpan;
   std::uint64_t stage_wall_start_ = 0;
+  telemetry::SpanTree trace_;  // this query's spans; empty when untraced
 
   int p_;
   sim::ClockSet clocks_;
@@ -1273,7 +1300,6 @@ class QueryExecution {
 
   // Per-query resource accounting.
   std::uint64_t query_wall_start_ = 0;
-  std::size_t trace_base_ = 0;  // tracer_->size() at run() start
   cache::CacheStats cache_tally_;  // this query's own cache reads and writes
 };
 

@@ -184,4 +184,8 @@ class MetricsRegistry {
 /// trace exporter and tests.
 std::string format_double(double v);
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped. Every JSON exporter in telemetry/ uses it.
+std::string escape_json(std::string_view s);
+
 }  // namespace ids::telemetry

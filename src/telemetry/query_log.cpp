@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "telemetry/metrics.h"  // format_double
+#include "telemetry/metrics.h"  // escape_json, format_double
 
 namespace ids::telemetry {
 
@@ -22,15 +22,16 @@ std::string QueryResourceAccount::to_json() const {
      << ",\"cache_misses\":" << cache_misses << ",\"tiers\":[";
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     if (i != 0) os << ',';
-    os << "{\"tier\":\"" << tiers[i].tier << "\",\"bytes_in\":"
+    os << "{\"tier\":\"" << escape_json(tiers[i].tier) << "\",\"bytes_in\":"
        << tiers[i].bytes_in << ",\"hits\":" << tiers[i].hits << '}';
   }
   os << "],\"stages\":[";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     if (i != 0) os << ',';
-    os << "{\"stage\":\"" << stages[i].stage << "\",\"modeled_seconds\":"
-       << format_double(stages[i].modeled_seconds) << ",\"wall_seconds\":"
-       << format_double(stages[i].wall_seconds) << ",\"divergence_seconds\":"
+    os << "{\"stage\":\"" << escape_json(stages[i].stage)
+       << "\",\"modeled_seconds\":" << format_double(stages[i].modeled_seconds)
+       << ",\"wall_seconds\":" << format_double(stages[i].wall_seconds)
+       << ",\"divergence_seconds\":"
        << format_double(stages[i].divergence_seconds()) << '}';
   }
   os << "]}";
@@ -94,10 +95,10 @@ std::string QueryLog::traces_text() const {
      << " completed queries retained (capacity " << capacity_ << ")\n";
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     os << "\n=== trace #" << it->account.sequence << " ===\n";
-    if (it->spans.empty()) {
+    if (it->trace.spans.empty() && it->trace.dropped == 0) {
       os << "untraced (the engine had no tracer)\n";
     } else {
-      os << spans_to_text_report(it->spans, it->dropped);
+      os << it->trace.to_text_report();
     }
   }
   return os.str();
@@ -105,9 +106,8 @@ std::string QueryLog::traces_text() const {
 
 std::string QueryLog::newest_trace_json() const {
   MutexLock lock(mutex_);
-  if (entries_.empty()) return spans_to_chrome_json({}, 0);
-  const QueryRecord& last = entries_.back();
-  return spans_to_chrome_json(last.spans, last.dropped);
+  if (entries_.empty()) return SpanTree{}.to_chrome_json();
+  return entries_.back().trace.to_chrome_json();
 }
 
 }  // namespace ids::telemetry

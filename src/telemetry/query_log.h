@@ -75,12 +75,14 @@ struct QueryResourceAccount {
 /// `sequence` is the record's number, on /statusz and /tracez alike.
 struct QueryRecord {
   QueryResourceAccount account;
-  std::vector<Span> spans;    // the query's span tree; empty when untraced
-  std::uint64_t dropped = 0;  // spans the tracer's cap dropped, so far
+  /// The query's own span tree (ids 1..n, at most the tracer's max_spans,
+  /// and the spans that cap dropped); empty when the engine had no tracer.
+  SpanTree trace;
 };
 
 /// Bounded log of the most recent finished queries. The engine pushes one
-/// record per execute(); the oldest falls out once `capacity` is reached.
+/// record per execute(); the oldest falls out once `capacity` is reached,
+/// so the log holds at most capacity x max_spans spans.
 /// /statusz renders the accounts and /tracez the span trees of the same
 /// records, so "trace #N" is the query whose account has sequence N.
 /// Thread-safe: queries push while HTTP scrapes snapshot.

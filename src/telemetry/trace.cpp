@@ -13,29 +13,6 @@ namespace ids::telemetry {
 
 namespace {
 
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microseconds with nanosecond resolution kept as three decimals, so the
 /// trace timeline is exact for integer-nanosecond modeled times.
 std::string micros_str(sim::Nanos ns) {
@@ -48,8 +25,28 @@ std::string micros_str(sim::Nanos ns) {
 
 }  // namespace
 
-std::string spans_to_chrome_json(const std::vector<Span>& spans,
-                                 std::uint64_t dropped) {
+SpanId SpanTree::append(std::vector<Span> batch, SpanId parent,
+                        std::size_t cap) {
+  const auto base = static_cast<SpanId>(spans.size());
+  const std::size_t room = cap > spans.size() ? cap - spans.size() : 0;
+  if (batch.size() > room) {
+    dropped += batch.size() - room;
+    batch.resize(room);
+  }
+  for (Span& span : batch) {
+    span.id += base;
+    span.parent = span.parent == kNoSpan ? parent : span.parent + base;
+    spans.push_back(std::move(span));
+  }
+  return batch.empty() ? kNoSpan : base + 1;
+}
+
+Span* SpanTree::find(SpanId id) {
+  if (id == kNoSpan || id > spans.size()) return nullptr;
+  return &spans[id - 1];
+}
+
+std::string SpanTree::to_chrome_json() const {
   std::ostringstream os;
   os << "{\"traceEvents\":[\n";
   // Metadata events: process name + one named thread per timeline seen.
@@ -94,20 +91,16 @@ std::string spans_to_chrome_json(const std::vector<Span>& spans,
   return os.str();
 }
 
-std::string spans_to_text_report(const std::vector<Span>& spans,
-                                 std::uint64_t dropped) {
+std::string SpanTree::to_text_report() const {
   // Children lists in recording order; parent id < child id always holds.
-  // A tail snapshot (a QueryLog record) may carry ids offset from its
-  // indices, so parents are resolved relative to the first span's id.
-  const SpanId base = spans.empty() ? 0 : spans.front().id - 1;
   std::vector<std::vector<std::size_t>> children(spans.size() + 1);
   std::vector<std::size_t> roots;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanId p = spans[i].parent;
-    if (p <= base || p > base + spans.size()) {
+    if (p == kNoSpan || p > spans.size()) {
       roots.push_back(i);
     } else {
-      children[p - base].push_back(i);
+      children[p].push_back(i);
     }
   }
   std::ostringstream os;
@@ -146,7 +139,7 @@ std::string spans_to_text_report(const std::vector<Span>& spans,
       os << "]";
     }
     os << "\n";
-    const auto& kids = children[s.id - base];
+    const auto& kids = children[i + 1];
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.emplace_back(*it, depth + 1);
     }
@@ -174,109 +167,40 @@ std::uint64_t Tracer::wall_now_ns() {
           .count());
 }
 
-Span* Tracer::find_locked(SpanId id) {
-  if (id == kNoSpan || id > spans_.size()) return nullptr;
-  return &spans_[id - 1];
-}
-
-SpanId Tracer::begin_span(std::string_view name, std::string_view category,
-                          SpanId parent, int rank, sim::Nanos virt_now,
-                          std::uint64_t wall) {
-  std::vector<Span> one;
-  one.push_back({std::string(name), std::string(category), 1, kNoSpan, rank,
-                 virt_now, virt_now, wall, wall, {}});
-  return append(std::move(one), parent);
-}
-
-void Tracer::end_span(SpanId id, sim::Nanos virt_now, std::uint64_t wall) {
+void Tracer::append(SpanTree tree) {
   MutexLock lock(mutex_);
-  Span* span = find_locked(id);
-  if (span == nullptr) return;
-  span->virt_end = virt_now;
-  span->wall_end_ns = wall;
-}
-
-SpanId Tracer::append(std::vector<Span> batch, SpanId parent) {
-  MutexLock lock(mutex_);
-  const auto base = static_cast<SpanId>(spans_.size());
-  const std::size_t room =
-      max_spans_ > spans_.size() ? max_spans_ - spans_.size() : 0;
-  if (batch.size() > room) {
-    dropped_ += batch.size() - room;
-    dropped_counter_->inc(batch.size() - room);
-    batch.resize(room);
-  }
-  for (Span& span : batch) {
-    span.id += base;
-    span.parent = span.parent == kNoSpan ? parent : span.parent + base;
-    spans_.push_back(std::move(span));
-  }
-  return batch.empty() ? kNoSpan : base + 1;
-}
-
-void Tracer::add_attr(SpanId id, std::string_view key, std::string_view value) {
-  MutexLock lock(mutex_);
-  Span* span = find_locked(id);
-  if (span == nullptr) return;
-  span->attrs.emplace_back(std::string(key), std::string(value));
-}
-
-void Tracer::add_attr(SpanId id, std::string_view key, std::uint64_t value) {
-  add_attr(id, key, std::string_view(std::to_string(value)));
-}
-
-void Tracer::add_attr(SpanId id, std::string_view key, double value) {
-  add_attr(id, key, std::string_view(format_double(value)));
+  const std::uint64_t before = tree_.dropped;
+  tree_.append(std::move(tree.spans), kNoSpan, max_spans_);
+  tree_.dropped += tree.dropped;
+  dropped_counter_->inc(tree_.dropped - before);
 }
 
 std::size_t Tracer::size() const {
   MutexLock lock(mutex_);
-  return spans_.size();
+  return tree_.spans.size();
 }
 
 std::uint64_t Tracer::dropped() const {
   MutexLock lock(mutex_);
-  return dropped_;
+  return tree_.dropped;
 }
 
-std::vector<Span> Tracer::snapshot() const {
+SpanTree Tracer::snapshot() const {
   MutexLock lock(mutex_);
-  return spans_;
-}
-
-std::vector<Span> Tracer::snapshot_tail(std::size_t first) const {
-  MutexLock lock(mutex_);
-  if (first >= spans_.size()) return {};
-  return std::vector<Span>(spans_.begin() + static_cast<std::ptrdiff_t>(first),
-                           spans_.end());
+  return tree_;
 }
 
 void Tracer::clear() {
   MutexLock lock(mutex_);
-  spans_.clear();
-  dropped_ = 0;
+  tree_ = SpanTree{};
 }
 
 std::string Tracer::to_chrome_json() const {
-  std::vector<Span> spans;
-  std::uint64_t dropped_count;
-  {
-    MutexLock lock(mutex_);
-    spans = spans_;
-    dropped_count = dropped_;
-  }
-  return spans_to_chrome_json(spans, dropped_count);
+  return snapshot().to_chrome_json();
 }
 
 std::string Tracer::to_text_report() const {
-  std::vector<Span> spans;
-  std::uint64_t dropped_count;
-  {
-    MutexLock lock(mutex_);
-    spans = spans_;
-    dropped_count = dropped_;
-  }
-  return spans_to_text_report(spans, dropped_count);
+  return snapshot().to_text_report();
 }
 
 }  // namespace ids::telemetry

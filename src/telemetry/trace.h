@@ -1,6 +1,6 @@
 #pragma once
 
-// Query tracer: a span tree per IdsEngine::execute (ISSUE 4 tentpole).
+// Query tracing: a span tree per IdsEngine::execute.
 //
 // Spans form a tree — query → stage → per-rank operator → per-call
 // (UDF exec, cache get/put) — and every span carries TWO time ranges:
@@ -15,7 +15,7 @@
 // Timelines map to Chrome trace "threads": tid 0 is the engine's barrier
 // timeline (query + stage spans), tid r+1 is rank r's virtual clock.
 //
-// Exporters:
+// Exporters (SpanTree, and the Tracer's whole contents):
 //   to_chrome_json()  — Chrome trace_event JSON ("X" complete events,
 //                       ts/dur in microseconds of modeled time), loadable
 //                       in chrome://tracing and Perfetto. args carry the
@@ -24,14 +24,17 @@
 //                       and wall durations, plus a per-category summary
 //                       built on common/stats.h RunningStats.
 //
-// Thread safety: one Tracer may be shared by all ranks of a query; every
-// public method locks the tracer mutex. Span recording is bounded by
-// `max_spans` — past the cap new spans are dropped (counted, reported in
-// both exports) rather than growing without bound on million-row queries.
+// Recording: a query writes its spans only to its own SpanTree, without a
+// lock, and hands the finished tree to the Tracer once (Tracer::append).
+// The Tracer is an append-only sink that may be shared by many queries and
+// engines; every public method locks its mutex. Recording is bounded by
+// `max_spans`, per query tree and per tracer: past the cap new spans are
+// dropped (counted, reported in both exports) rather than growing without
+// bound on million-row queries.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -61,83 +64,72 @@ struct Span {
   sim::Nanos virt_duration() const { return virt_end - virt_start; }
 };
 
-/// Chrome trace_event JSON for a span list (see Tracer::to_chrome_json).
-/// Free function so logged span trees (QueryLog, /tracez) render with the
-/// exact same layout as a live Tracer.
-std::string spans_to_chrome_json(const std::vector<Span>& spans,
-                                 std::uint64_t dropped);
+/// A span list in recording order: a span's id is its 1-based position
+/// and its parent comes before it (kNoSpan for a root). Plain data with no
+/// lock. A query records into its own tree, the Tracer keeps one under its
+/// mutex, and a QueryRecord holds the finished query's.
+struct SpanTree {
+  std::vector<Span> spans;
+  std::uint64_t dropped = 0;  // spans the cap rejected, each counted once
 
-/// EXPLAIN ANALYZE-style indented text report for a span list (see
-/// Tracer::to_text_report).
-std::string spans_to_text_report(const std::vector<Span>& spans,
-                                 std::uint64_t dropped);
+  /// Appends `batch` in its order and returns the new id of its first span
+  /// (kNoSpan if none was kept). In `batch` a span's id is its 1-based
+  /// position and a parent of kNoSpan stands for `parent`; both are
+  /// renumbered into this tree. Past `cap` spans the batch's tail is
+  /// dropped and counted (parents come before their children, so a kept
+  /// span never loses its parent).
+  SpanId append(std::vector<Span> batch, SpanId parent, std::size_t cap);
 
+  /// The span `id`, or nullptr for kNoSpan and for a span the cap dropped.
+  Span* find(SpanId id);
+
+  /// Chrome trace_event JSON (see the file comment).
+  std::string to_chrome_json() const;
+  /// EXPLAIN ANALYZE-style indented tree plus a per-category summary.
+  std::string to_text_report() const;
+};
+
+/// Append-only sink of finished span trees, shared across queries.
 class Tracer {
  public:
   /// `metrics` receives the ids_trace_dropped_spans_total counter (spans
   /// rejected by the max_spans cap); nullptr = the process-global
-  /// registry. Resolved once here, so drops on the hot path are one
-  /// lock-free increment.
+  /// registry. Resolved once here, so counting drops is one lock-free
+  /// increment.
   explicit Tracer(std::size_t max_spans = 1u << 16,
                   MetricsRegistry* metrics = nullptr);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Host wall clock in nanoseconds (steady). Exposed so callers that
-  /// pass their own wall stamps (see below) use the same clock.
+  /// Host wall clock in nanoseconds (steady), the clock of every span's
+  /// wall range.
   static std::uint64_t wall_now_ns();
 
-  /// Opens a span at modeled time `virt_now`, wall-stamped now unless the
-  /// caller passes a stamp it shares with its own record of the interval.
-  /// Returns kNoSpan when the span cap is hit (end_span/add_attr on
-  /// kNoSpan are no-ops, so call sites stay unconditional).
-  SpanId begin_span(std::string_view name, std::string_view category,
-                    SpanId parent, int rank, sim::Nanos virt_now,
-                    std::uint64_t wall_start_ns = wall_now_ns())
-      IDS_EXCLUDES(mutex_);
-  void end_span(SpanId id, sim::Nanos virt_now,
-                std::uint64_t wall_end_ns = wall_now_ns()) IDS_EXCLUDES(mutex_);
+  /// The span cap, of this tracer and of each tree recorded for it.
+  std::size_t max_spans() const { return max_spans_; }
 
-  /// Appends spans recorded away from the tracer, in their order, and
-  /// returns the new id of the first (kNoSpan if none was kept). In `batch`
-  /// a span's id is its 1-based position and a parent of kNoSpan stands
-  /// for `parent`; both are renumbered into this tracer's ids. The
-  /// max_spans cap drops the batch's tail (parents come before their
-  /// children, so a kept span never loses its parent).
-  SpanId append(std::vector<Span> batch, SpanId parent) IDS_EXCLUDES(mutex_);
+  /// Appends a finished tree after the spans already held, renumbering its
+  /// ids (its roots stay roots), so one tree is one contiguous block. The
+  /// cap drops the tree's tail; those drops and the tree's own are added
+  /// to dropped() and to ids_trace_dropped_spans_total.
+  void append(SpanTree tree) IDS_EXCLUDES(mutex_);
 
-  void add_attr(SpanId id, std::string_view key, std::string_view value)
-      IDS_EXCLUDES(mutex_);
-  void add_attr(SpanId id, std::string_view key, std::uint64_t value)
-      IDS_EXCLUDES(mutex_);
-  void add_attr(SpanId id, std::string_view key, double value)
-      IDS_EXCLUDES(mutex_);
-
-  /// Spans recorded so far (completed or still open).
+  /// Spans held.
   std::size_t size() const IDS_EXCLUDES(mutex_);
-  /// Spans rejected by the max_spans cap.
+  /// Spans rejected by a cap, the tracer's or an appended tree's.
   std::uint64_t dropped() const IDS_EXCLUDES(mutex_);
 
-  std::vector<Span> snapshot() const IDS_EXCLUDES(mutex_);
-  /// Copy of the spans recorded at or after index `first` (0-based
-  /// recording order). The engine uses size() before a query and
-  /// snapshot_tail() after it to carve one query's tree out of a
-  /// tracer shared across queries.
-  std::vector<Span> snapshot_tail(std::size_t first) const
-      IDS_EXCLUDES(mutex_);
+  SpanTree snapshot() const IDS_EXCLUDES(mutex_);
   void clear() IDS_EXCLUDES(mutex_);
 
   std::string to_chrome_json() const IDS_EXCLUDES(mutex_);
   std::string to_text_report() const IDS_EXCLUDES(mutex_);
 
  private:
-  Span* find_locked(SpanId id) IDS_REQUIRES(mutex_);
-
   const std::size_t max_spans_;
   Counter* dropped_counter_;  // ids_trace_dropped_spans_total
   mutable Mutex mutex_;
-  std::vector<Span> spans_ IDS_GUARDED_BY(mutex_);
-  std::uint64_t dropped_ IDS_GUARDED_BY(mutex_) = 0;
+  SpanTree tree_ IDS_GUARDED_BY(mutex_);
 };
 
 }  // namespace ids::telemetry

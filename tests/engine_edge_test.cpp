@@ -149,7 +149,7 @@ TEST_F(EdgeFixture, SkippedClausesChargeNothingAndRecordNoStage) {
   std::vector<std::string> timed;
   for (const auto& st : r.stages) timed.push_back(st.stage);
   std::vector<std::string> traced_stages;
-  for (const auto& s : tracer.snapshot()) {
+  for (const auto& s : tracer.snapshot().spans) {
     if (s.category == "stage") traced_stages.push_back(s.name);
   }
   const std::vector<std::string> want = {"scan", "gather"};

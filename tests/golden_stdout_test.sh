@@ -8,9 +8,13 @@
 # Usage: golden_stdout_test.sh <golden_dir> <binary>...
 #
 # An intended model change re-records the goldens from a fresh build,
-#   build/bench/bench_ablation_cache_tiers > tests/goldens/bench_ablation_cache_tiers.txt
+#   for b in bench_table1_ingest bench_ablation_cache_tiers \
+#            bench_ablation_rebalance bench_ablation_reorder; do
+#     build/bench/$b > tests/goldens/$b.txt
+#   done
 #   build/examples/ncnpr_workflow > tests/goldens/ncnpr_workflow.txt
-# and says so in CHANGES.md.
+# and says so in CHANGES.md. Host wall times belong on stderr, which the
+# gate does not read.
 
 set -u
 if [ $# -lt 2 ]; then

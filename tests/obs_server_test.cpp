@@ -149,10 +149,10 @@ TEST(ObsServerHandle, StatuszWithoutLogDegradesGracefully) {
 TEST(ObsServerHandle, TracezRendersLogInBothFormats) {
   MetricsRegistry reg;
   QueryLog log;
-  Tracer tracer(/*max_spans=*/16, &reg);
-  const SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-  tracer.end_span(root, 1000);
-  log.push({QueryResourceAccount{}, tracer.snapshot(), tracer.dropped()});
+  SpanTree trace;
+  trace.append({{"query", "query", 1, kNoSpan, -1, 0, 1000, 0, 0, {}}},
+               kNoSpan, 16);
+  log.push({QueryResourceAccount{}, std::move(trace)});
 
   ObsServerOptions opts;
   opts.metrics = &reg;
@@ -352,9 +352,9 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const QueryRecord& record = records[i];
     EXPECT_EQ(record.account.sequence, i + 1);
-    EXPECT_EQ(record.dropped, 0u);
+    EXPECT_EQ(record.trace.dropped, 0u);
     std::vector<const Span*> stage_spans;
-    for (const Span& s : record.spans) {
+    for (const Span& s : record.trace.spans) {
       if (s.category == "stage") stage_spans.push_back(&s);
     }
     const auto& stages = record.account.stages;

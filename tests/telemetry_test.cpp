@@ -371,42 +371,82 @@ TEST(Metrics, CacheTierCountersOnPrivateRegistry) {
             0u);
 }
 
-// ---- Tracer --------------------------------------------------------------
+// ---- Span trees and the tracer --------------------------------------------
+
+/// A span of an append() batch: `id` is its 1-based position in the batch.
+Span batch_span(std::string name, std::string category, SpanId id,
+                SpanId parent, int rank, sim::Nanos start, sim::Nanos end) {
+  return {std::move(name), std::move(category), id, parent, rank, start, end,
+          0, 0, {}};
+}
 
 TEST(Trace, SpanTreeAndAttrs) {
-  Tracer tracer;
-  SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-  ASSERT_NE(root, kNoSpan);
-  SpanId child = tracer.begin_span("scan", "stage", root, -1, 10);
-  tracer.add_attr(child, "rows", std::uint64_t{42});
-  tracer.add_attr(child, "note", std::string_view("hi"));
-  tracer.end_span(child, 30);
-  tracer.end_span(root, 40);
+  SpanTree tree;
+  const SpanId root =
+      tree.append({batch_span("query", "query", 1, kNoSpan, -1, 0, 40)},
+                  kNoSpan, 16);
+  ASSERT_EQ(root, 1u);
+  // A batch's own ids and parents are renumbered; kNoSpan means `parent`.
+  const SpanId child =
+      tree.append({batch_span("scan", "stage", 1, kNoSpan, -1, 10, 30),
+                   batch_span("scan", "rank", 2, 1, 0, 10, 25)},
+                  root, 16);
+  ASSERT_EQ(child, 2u);
+  tree.find(child)->attrs.emplace_back("rows", "42");
+  EXPECT_EQ(tree.find(kNoSpan), nullptr);
+  EXPECT_EQ(tree.find(4), nullptr);
 
-  std::vector<Span> spans = tracer.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
+  Tracer tracer;
+  tracer.append(tree);
+  const std::vector<Span> spans = tracer.snapshot().spans;
+  ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].name, "query");
+  EXPECT_EQ(spans[0].parent, kNoSpan);
   EXPECT_EQ(spans[0].virt_duration(), 40u);
   EXPECT_EQ(spans[1].parent, root);
   EXPECT_EQ(spans[1].virt_start, 10u);
   EXPECT_EQ(spans[1].virt_duration(), 20u);
-  ASSERT_EQ(spans[1].attrs.size(), 2u);
+  ASSERT_EQ(spans[1].attrs.size(), 1u);
   EXPECT_EQ(spans[1].attrs[0].first, "rows");
   EXPECT_EQ(spans[1].attrs[0].second, "42");
-  EXPECT_LE(spans[1].wall_start_ns, spans[1].wall_end_ns);
+  EXPECT_EQ(spans[2].id, 3u);
+  EXPECT_EQ(spans[2].parent, child);
+
+  // A second tree lands after the first as one block; its root stays a
+  // root and its parents move with it.
+  tracer.append(tree);
+  const std::vector<Span> both = tracer.snapshot().spans;
+  ASSERT_EQ(both.size(), 6u);
+  EXPECT_EQ(both[3].id, 4u);
+  EXPECT_EQ(both[3].parent, kNoSpan);
+  EXPECT_EQ(both[4].parent, 4u);
+  EXPECT_EQ(both[5].parent, 5u);
 }
 
-TEST(Trace, CapDropsExcessSpansAndNoSpanIsInert) {
-  Tracer tracer(/*max_spans=*/2);
-  EXPECT_NE(tracer.begin_span("a", "x", kNoSpan, -1, 0), kNoSpan);
-  EXPECT_NE(tracer.begin_span("b", "x", kNoSpan, -1, 0), kNoSpan);
-  EXPECT_EQ(tracer.begin_span("c", "x", kNoSpan, -1, 0), kNoSpan);
-  EXPECT_EQ(tracer.begin_span("d", "x", kNoSpan, -1, 0), kNoSpan);
-  tracer.end_span(kNoSpan, 5);                     // no-op
-  tracer.add_attr(kNoSpan, "k", std::uint64_t{1});  // no-op
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 2u);
-  EXPECT_NE(tracer.to_chrome_json().find("\"dropped_spans\":2"),
+TEST(Trace, CapDropsEachExcessSpanOnce) {
+  SpanTree tree;
+  EXPECT_EQ(tree.append({batch_span("a", "x", 1, kNoSpan, -1, 0, 0)},
+                        kNoSpan, 2),
+            1u);
+  // Past the cap a batch's tail is dropped and counted.
+  EXPECT_EQ(tree.append({batch_span("b", "x", 1, kNoSpan, -1, 0, 0),
+                         batch_span("c", "x", 2, 1, -1, 0, 0)},
+                        kNoSpan, 2),
+            2u);
+  EXPECT_EQ(tree.append({batch_span("d", "x", 1, kNoSpan, -1, 0, 0)},
+                        kNoSpan, 2),
+            kNoSpan);
+  ASSERT_EQ(tree.spans.size(), 2u);
+  EXPECT_EQ(tree.spans[1].name, "b");
+  EXPECT_EQ(tree.dropped, 2u);
+
+  // The tracer's own cap drops the tail of an appended tree, and the
+  // tree's drops count too: 1 span kept of the 4 recorded.
+  Tracer tracer(/*max_spans=*/1);
+  tracer.append(tree);
+  EXPECT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  EXPECT_NE(tracer.to_chrome_json().find("\"dropped_spans\":3"),
             std::string::npos);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
@@ -414,16 +454,14 @@ TEST(Trace, CapDropsExcessSpansAndNoSpanIsInert) {
 }
 
 TEST(Trace, ChromeJsonIsValidJson) {
-  Tracer tracer;
-  SpanId q = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-  SpanId s = tracer.begin_span("scan", "stage", q, -1, 0);
-  SpanId r = tracer.begin_span("scan", "rank", s, 2, 0);
-  tracer.add_attr(r, "matches", std::uint64_t{7});
-  tracer.end_span(r, 1500);
-  tracer.end_span(s, 2000);
-  tracer.end_span(q, 2000);
+  SpanTree tree;
+  tree.append({batch_span("query", "query", 1, kNoSpan, -1, 0, 2000),
+               batch_span("scan", "stage", 2, 1, -1, 0, 2000),
+               batch_span("scan", "rank", 3, 2, 2, 0, 1500)},
+              kNoSpan, 16);
+  tree.find(3)->attrs.emplace_back("matches", "7");
 
-  std::string json = tracer.to_chrome_json();
+  const std::string json = tree.to_chrome_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   // Rank 2 maps to tid 3; the engine timeline is tid 0.
@@ -433,20 +471,28 @@ TEST(Trace, ChromeJsonIsValidJson) {
   EXPECT_NE(json.find("\"ts\":0.000,\"dur\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"modeled_ns\":1500"), std::string::npos);
   EXPECT_NE(json.find("\"matches\":\"7\""), std::string::npos);
+  // The tracer renders its contents the same way.
+  Tracer tracer;
+  tracer.append(tree);
+  EXPECT_EQ(tracer.to_chrome_json(), json);
 }
 
 TEST(Trace, TextReportTreeAndCategorySummary) {
-  Tracer tracer;
-  SpanId q = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-  SpanId s = tracer.begin_span("filter", "stage", q, -1, 0);
-  tracer.end_span(s, sim::from_seconds(1.5));
-  tracer.end_span(q, sim::from_seconds(1.5));
-  std::string report = tracer.to_text_report();
+  SpanTree tree;
+  tree.append({batch_span("query", "query", 1, kNoSpan, -1, 0,
+                          sim::from_seconds(1.5)),
+               batch_span("filter", "stage", 2, 1, -1, 0,
+                          sim::from_seconds(1.5))},
+              kNoSpan, 16);
+  const std::string report = tree.to_text_report();
   EXPECT_NE(report.find("trace: 2 spans"), std::string::npos) << report;
   EXPECT_NE(report.find("query"), std::string::npos);
   EXPECT_NE(report.find("  filter"), std::string::npos);  // indented child
   EXPECT_NE(report.find("by category (modeled seconds):"), std::string::npos);
   EXPECT_NE(report.find("n=1"), std::string::npos);  // RunningStats summary
+  Tracer tracer;
+  tracer.append(tree);
+  EXPECT_EQ(tracer.to_text_report(), report);
 }
 
 TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
@@ -454,11 +500,14 @@ TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
   Tracer tracer(/*max_spans=*/2, &reg);
   Counter* dropped = reg.counter("ids_trace_dropped_spans_total");
   EXPECT_EQ(dropped->value(), 0u);
+  SpanTree tree;
   for (int i = 0; i < 5; ++i) {
-    tracer.begin_span("s", "stage", kNoSpan, -1, 0);
+    tree.append({batch_span("s", "stage", 1, kNoSpan, -1, 0, 0)}, kNoSpan,
+                4);
   }
-  // 2 spans fit, 3 are dropped — the tracer's own count and the exported
-  // counter agree exactly.
+  // The tree kept 4 and dropped 1; the tracer keeps 2 of those 4. The
+  // tracer's own count and the exported counter agree exactly.
+  tracer.append(tree);
   EXPECT_EQ(tracer.dropped(), 3u);
   EXPECT_EQ(dropped->value(), 3u);
   // clear() resets the tracer but not the monotonic counter.
@@ -512,16 +561,13 @@ TEST(QueryLog, RetainsNewestRecordsUnderOneSequence) {
             std::string::npos);
   EXPECT_TRUE(JsonValidator(log.newest_trace_json()).valid());
 
-  MetricsRegistry reg;
   for (int i = 0; i < 5; ++i) {
-    Tracer tracer(/*max_spans=*/16, &reg);
-    SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
-    tracer.add_attr(root, "n", static_cast<std::uint64_t>(i));
-    tracer.end_span(root, 1000 * (i + 1));
     QueryRecord record;
     record.account.rows_gathered = static_cast<std::uint64_t>(i);
-    record.spans = tracer.snapshot();
-    record.dropped = tracer.dropped();
+    record.trace.append(
+        {batch_span("query", "query", 1, kNoSpan, -1, 0, 1000 * (i + 1))},
+        kNoSpan, 16);
+    record.trace.find(1)->attrs.emplace_back("n", std::to_string(i));
     EXPECT_EQ(log.push(std::move(record)), static_cast<std::uint64_t>(i + 1));
   }
 
@@ -531,8 +577,8 @@ TEST(QueryLog, RetainsNewestRecordsUnderOneSequence) {
   EXPECT_EQ(kept[0].account.sequence, 3u);
   EXPECT_EQ(kept[0].account.rows_gathered, 2u);
   EXPECT_EQ(kept[2].account.sequence, 5u);
-  ASSERT_EQ(kept[2].spans.size(), 1u);
-  EXPECT_EQ(kept[2].spans[0].virt_end, 5000u);
+  ASSERT_EQ(kept[2].trace.spans.size(), 1u);
+  EXPECT_EQ(kept[2].trace.spans[0].virt_end, 5000u);
 
   // /statusz JSON is newest-first under the total count.
   const std::string json = log.accounts_json();
@@ -664,7 +710,7 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   ASSERT_GT(r.stages.size(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
 
-  std::vector<Span> spans = tracer.snapshot();
+  std::vector<Span> spans = tracer.snapshot().spans;
   std::vector<Span> stage_spans;
   const Span* root = nullptr;
   for (const Span& s : spans) {
@@ -782,40 +828,94 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   EXPECT_EQ(reg.counter("ids_engine_queries_total")->value(), 1u);
 }
 
-TEST_F(TelemetryEngineFixture, CappedTracerCountsEachDroppedSpanOnce) {
-  auto run = [this](Tracer* tracer) {
-    MetricsRegistry reg;
-    EngineOptions opts;
-    opts.topology = runtime::Topology::laptop(kRanks);
-    opts.tracer = tracer;
-    opts.metrics = &reg;
-    IdsEngine eng(opts, triples_.get(), features_.get());
-    register_udfs(&eng);
-    Query q = full_query();
-    q.invokes[0].use_cache = false;  // no cache configured in this engine
-    eng.execute(q);
-  };
-  Tracer uncapped;
-  run(&uncapped);
-  const std::uint64_t n = uncapped.size();
-  ASSERT_GT(n, 1u);
-  EXPECT_EQ(uncapped.dropped(), 0u);
-
-  // A cap of one keeps the root span; every other span of the same query
-  // is dropped, and counted, exactly once.
-  MetricsRegistry reg;
-  Tracer capped(1, &reg);
-  run(&capped);
-  EXPECT_EQ(capped.size(), 1u);
-  EXPECT_EQ(capped.dropped(), n - 1);
-  EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(), n - 1);
+/// One line per span (id, parent, name, category, rank, modeled range and
+/// attrs) and a last line with the dropped count: everything a span tree
+/// records except what depends on the host (wall stamps, the root's
+/// wall-derived divergence, the SIMD level).
+std::string span_lines(const SpanTree& tree) {
+  std::string out;
+  for (const Span& s : tree.spans) {
+    out += std::to_string(s.id) + " " + std::to_string(s.parent) + " " +
+           s.name + " " + s.category + " " + std::to_string(s.rank) + " " +
+           std::to_string(s.virt_start) + ".." + std::to_string(s.virt_end);
+    for (const auto& [k, v] : s.attrs) {
+      if (k != "divergence_seconds" && k != "simd_level") {
+        out += " " + k + "=" + v;
+      }
+    }
+    out += "\n";
+  }
+  out += "dropped " + std::to_string(tree.dropped) + "\n";
+  return out;
 }
 
-TEST_F(TelemetryEngineFixture, SpanListIsAFunctionOfTheQuery) {
-  // Two fresh engines run the same traced query: the span lists agree in
-  // ids, parents, names, ranks, modeled ranges and attrs. Only the wall
-  // stamps (and the root's wall-derived divergence) may differ. Under a
-  // cap the same spans are kept and dropped.
+/// full_query()'s span tree on a fresh engine with a two-node cache, as
+/// span_lines() renders it. A change to what the engine traces, or to
+/// the order it traces it in, shows up here; an intended one re-records
+/// the golden from this test's failure output and says so in CHANGES.md.
+constexpr std::string_view kFullQuerySpans = R"(1 0 query query -1 0..6014111762 rows=8 cache_hits=0 cache_misses=8 rows_partitioned=9 udf_invocations=8 peak_solution_bytes=192
+2 1 scan stage -1 0..350
+3 2 scan rank 0 0..350 matches=6
+4 2 scan rank 1 0..335 matches=3
+5 2 scan rank 2 0..320 matches=0
+6 2 scan rank 3 0..325 matches=1
+7 1 join stage -1 350..1660
+8 7 join:build rank 0 350..700 matches=6
+9 7 join:probe rank 0 1300..1660 produced=6
+10 7 join:build rank 1 350..685 matches=3
+11 7 join:probe rank 1 1300..1480 produced=3
+12 7 join:build rank 2 350..670 matches=0
+13 7 join:probe rank 2 1300..1300 produced=0
+14 7 join:build rank 3 350..675 matches=1
+15 7 join:probe rank 3 1300..1360 produced=1
+16 1 rebalance stage -1 1660..5860 policy=throughput triggered=1 throughput_based=0 speed_ratio=1
+17 1 filter stage -1 5860..6006010 reorder=on distinct_orders=1 rank0_order=0
+18 17 filter rank 0 5860..6006010 rows_in=3 rows_kept=2
+19 17 filter rank 1 5860..6006010 rows_in=3 rows_kept=2
+20 17 filter rank 2 5860..4005960 rows_in=2 rows_kept=2
+21 17 filter rank 3 5860..4005960 rows_in=2 rows_kept=2
+22 1 distinct stage -1 6006010..6011510
+23 22 distinct rank 0 6007810..6007910 rows_in=5 rows_kept=5
+24 22 distinct rank 1 6007810..6007850 rows_in=2 rows_kept=2
+25 22 distinct rank 2 6007810..6007810 rows_in=0 rows_kept=0
+26 22 distinct rank 3 6007810..6007830 rows_in=1 rows_kept=1
+27 1 invoke:score stage -1 6011510..6014111158
+28 27 invoke rank 0 6011510..6014103950
+29 28 cache.get cache 0 6011535..6011535 hit=0
+30 28 score udf 0 6011535..3006011535
+31 28 cache.put cache 0 3006011535..3010054126
+32 28 cache.get cache 0 3010054151..3010057755 hit=0
+33 28 score udf 0 3010057755..6010057755
+34 28 cache.put cache 0 6010057755..6014103950
+35 27 invoke rank 1 6011510..6014111158
+36 35 cache.get cache 1 6011535..6015139 hit=0
+37 35 score udf 1 6015139..3006015139
+38 35 cache.put cache 1 3006015139..3010061334
+39 35 cache.get cache 1 3010061359..3010064963 hit=0
+40 35 score udf 1 3010064963..6010064963
+41 35 cache.put cache 1 6010064963..6014111158
+42 27 invoke rank 2 6011510..6014103950
+43 42 cache.get cache 2 6011535..6011535 hit=0
+44 42 score udf 2 6011535..3006011535
+45 42 cache.put cache 2 3006011535..3010054126
+46 42 cache.get cache 2 3010054151..3010057755 hit=0
+47 42 score udf 2 3010057755..6010057755
+48 42 cache.put cache 2 6010057755..6014103950
+49 27 invoke rank 3 6011510..6014096742
+50 49 cache.get cache 3 6011535..6011535 hit=0
+51 49 score udf 3 6011535..3006011535
+52 49 cache.put cache 3 3006011535..3010054126
+53 49 cache.get cache 3 3010054151..3010054151 hit=0
+54 49 score udf 3 3010054151..6010054151
+55 49 cache.put cache 3 6010054151..6014096742
+56 1 gather stage -1 6014111158..6014111762
+dropped 0
+)";
+
+TEST_F(TelemetryEngineFixture, SpanListMatchesGolden) {
+  // A fresh engine runs the traced query: the span list matches the
+  // golden in ids, parents, names, ranks, modeled ranges and attrs, every
+  // run. Under a cap the same prefix is kept and the rest counted.
   auto run = [this](std::size_t max_spans) {
     MetricsRegistry reg;
     Tracer tracer(max_spans, &reg);
@@ -831,27 +931,195 @@ TEST_F(TelemetryEngineFixture, SpanListIsAFunctionOfTheQuery) {
     IdsEngine eng(opts, triples_.get(), features_.get());
     register_udfs(&eng);
     eng.execute(full_query());
-    std::vector<std::string> lines;
-    for (const Span& s : tracer.snapshot()) {
-      std::string line = std::to_string(s.id) + " " +
-                         std::to_string(s.parent) + " " + s.name + " " +
-                         s.category + " " + std::to_string(s.rank) + " " +
-                         std::to_string(s.virt_start) + ".." +
-                         std::to_string(s.virt_end);
-      for (const auto& [k, v] : s.attrs) {
-        if (k != "divergence_seconds") line += " " + k + "=" + v;
-      }
-      lines.push_back(line);
-    }
-    lines.push_back("dropped " + std::to_string(tracer.dropped()));
-    return lines;
+    return span_lines(tracer.snapshot());
   };
-  for (std::size_t cap : {std::size_t{1} << 16, std::size_t{20}}) {
-    const std::vector<std::string> first = run(cap);
-    EXPECT_EQ(run(cap), first) << "cap " << cap;
-    EXPECT_EQ(run(cap), first) << "cap " << cap;
+  const std::string uncapped(kFullQuerySpans);
+  EXPECT_EQ(run(1u << 16), uncapped);
+  EXPECT_EQ(run(1u << 16), uncapped);
+
+  // The first 20 span lines of the golden, and the other 36 dropped.
+  std::size_t end = 0;
+  for (int line = 0; line < 20; ++line) end = uncapped.find('\n', end) + 1;
+  const std::string capped = uncapped.substr(0, end) + "dropped 36\n";
+  EXPECT_EQ(run(20), capped);
+  EXPECT_EQ(run(20), capped);
+}
+
+TEST_F(TelemetryEngineFixture, CappedTracerKeepsEachQuerysOwnTree) {
+  // One engine, one tracer whose cap is below one query's span count, two
+  // identical queries. Each log record holds its own query's first 12
+  // spans and its own drop count; the tracer fills once and counts each
+  // span it could not keep exactly once, in dropped() and the counter.
+  Query q = full_query();
+  q.invokes[0].use_cache = false;  // no cache configured in this engine
+  MetricsRegistry reg;
+  Tracer tracer(/*max_spans=*/12, &reg);
+  QueryLog log;
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.tracer = &tracer;
+  opts.metrics = &reg;
+  opts.query_log = &log;
+  IdsEngine eng(opts, triples_.get(), features_.get());
+  register_udfs(&eng);
+  eng.execute(q);
+  eng.execute(q);
+
+  Tracer solo;
+  opts.tracer = &solo;
+  opts.query_log = nullptr;
+  IdsEngine solo_eng(opts, triples_.get(), features_.get());
+  register_udfs(&solo_eng);
+  solo_eng.execute(q);
+  const std::uint64_t n = solo.size();
+  ASSERT_GT(n, 12u);
+
+  const std::vector<QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].trace.spans.size(), 12u);
+  EXPECT_EQ(records[0].trace.dropped, n - 12);
+  EXPECT_EQ(span_lines(records[1].trace), span_lines(records[0].trace));
+  SpanTree solo_prefix = solo.snapshot();
+  solo_prefix.spans.resize(12);
+  solo_prefix.dropped = n - 12;
+  EXPECT_EQ(span_lines(records[0].trace), span_lines(solo_prefix));
+  EXPECT_EQ(log.traces_text().find("untraced"), std::string::npos);
+
+  EXPECT_EQ(tracer.size(), 12u);
+  EXPECT_EQ(tracer.dropped(), 2 * n - 12);
+  EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(),
+            2 * n - 12);
+}
+
+TEST_F(TelemetryEngineFixture, AnotherTracerWriterLeavesTheRecordAlone) {
+  // A UDF on rank 0 appends a span to the engine's own tracer in the middle
+  // of the FILTER stage, once per row. The query's record holds none of
+  // those spans and equals the run in which the UDF wrote nothing. The
+  // filter order is fixed, so the first run's UDF profile does not
+  // reorder the second run's chain.
+  MetricsRegistry reg;
+  Tracer tracer(1u << 16, &reg);
+  QueryLog log;
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.reorder_filters = false;
+  opts.tracer = &tracer;
+  opts.metrics = &reg;
+  opts.query_log = &log;
+  IdsEngine eng(opts, triples_.get(), features_.get());
+  register_udfs(&eng);
+  std::atomic<bool> write{false};
+  eng.registry().register_static(
+      "noisy", [&tracer, &write](const udf::UdfContext& ctx,
+                                 std::span<const expr::Value>) {
+        if (write.load() && ctx.rank == 0) {
+          SpanTree foreign;
+          foreign.append({batch_span("foreign", "other", 1, kNoSpan, -1, 0,
+                                     0)},
+                         kNoSpan, 1);
+          tracer.append(std::move(foreign));
+        }
+        return udf::UdfResult{true, sim::from_millis(1)};
+      });
+  Query q = full_query();
+  q.invokes[0].use_cache = false;  // no cache configured in this engine
+  q.filters.push_back(Expr::Udf("noisy", {Expr::Var("x")}));
+  eng.execute(q);
+  write.store(true);
+  eng.execute(q);
+
+  const std::vector<QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(span_lines(records[1].trace), span_lines(records[0].trace));
+  std::size_t foreign_in_tracer = 0;
+  for (const Span& s : tracer.snapshot().spans) {
+    if (s.category == "other") ++foreign_in_tracer;
   }
-  EXPECT_EQ(run(20).size(), 21u);  // 20 spans and the dropped line
+  EXPECT_GT(foreign_in_tracer, 0u);
+  EXPECT_EQ(tracer.size(),
+            2 * records[0].trace.spans.size() + foreign_in_tracer);
+}
+
+TEST_F(TelemetryEngineFixture, EnginesSharingOneTracerPublishSoloTrees) {
+  // Several engines share one tracer and one log and run at once. Every
+  // record equals the solo run, and in the tracer each query is one
+  // contiguous block whose parents all point inside it.
+  Query q = full_query();
+  q.invokes[0].use_cache = false;  // no cache configured in these engines
+  MetricsRegistry reg;
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.metrics = &reg;
+
+  Tracer solo_tracer(1u << 16, &reg);
+  opts.tracer = &solo_tracer;
+  IdsEngine solo(opts, triples_.get(), features_.get());
+  register_udfs(&solo);
+  solo.execute(q);
+  const std::string solo_lines = span_lines(solo_tracer.snapshot());
+  const std::size_t n = solo_tracer.size();
+
+  constexpr int kEngines = 4;
+  constexpr int kQueriesPerEngine = 3;
+  Tracer tracer(1u << 16, &reg);
+  QueryLog log(/*capacity=*/kEngines * kQueriesPerEngine);
+  opts.tracer = &tracer;
+  opts.query_log = &log;
+  std::vector<std::thread> workers;
+  workers.reserve(kEngines);
+  for (int e = 0; e < kEngines; ++e) {
+    workers.emplace_back([this, &opts, &q] {
+      IdsEngine eng(opts, triples_.get(), features_.get());
+      register_udfs(&eng);
+      for (int i = 0; i < kQueriesPerEngine; ++i) eng.execute(q);
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const std::vector<QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), std::size_t{kEngines * kQueriesPerEngine});
+  for (const QueryRecord& record : records) {
+    EXPECT_EQ(span_lines(record.trace), solo_lines)
+        << "record " << record.account.sequence;
+  }
+  const std::vector<Span> spans = tracer.snapshot().spans;
+  ASSERT_EQ(spans.size(), records.size() * n);
+  for (std::size_t block = 0; block < records.size(); ++block) {
+    const SpanId first = static_cast<SpanId>(block * n + 1);
+    EXPECT_EQ(spans[first - 1].category, "query");
+    EXPECT_EQ(spans[first - 1].parent, kNoSpan);
+    for (std::size_t i = 1; i < n; ++i) {
+      const Span& s = spans[first - 1 + i];
+      EXPECT_GE(s.parent, first) << "span " << s.id;
+      EXPECT_LT(s.parent, s.id) << "span " << s.id;
+    }
+  }
+}
+
+TEST_F(TelemetryEngineFixture, StatuszJsonEscapesStageNames) {
+  // A UDF name is user text: INVOKE makes it part of the stage name, and
+  // the account JSON /statusz serves must stay valid around it.
+  MetricsRegistry reg;
+  QueryLog log;
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.metrics = &reg;
+  opts.query_log = &log;
+  IdsEngine eng(opts, triples_.get(), features_.get());
+  register_udfs(&eng);
+  eng.registry().register_static(
+      "say\"hi", [](const udf::UdfContext&, std::span<const expr::Value>) {
+        return udf::UdfResult{1.0, sim::from_millis(1)};
+      });
+  Query q = full_query();
+  q.invokes[0].udf = "say\"hi";
+  q.invokes[0].use_cache = false;  // no cache configured in this engine
+  const QueryResult r = eng.execute(q);
+  EXPECT_EQ(r.stages.back().stage, "gather");
+  const std::string json = log.accounts_json();
+  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find(R"("stage":"invoke:say\"hi")"), std::string::npos)
+      << json;
 }
 
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
@@ -913,7 +1181,7 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].account.sequence, 1u);
   EXPECT_EQ(records[0].account.rows_partitioned, a.rows_partitioned);
-  const std::vector<Span>& spans = records[0].spans;
+  const std::vector<Span>& spans = records[0].trace.spans;
   const Span* root = nullptr;
   for (const Span& s : spans) {
     if (s.category == "query") root = &s;
@@ -972,7 +1240,7 @@ TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
   EXPECT_NE(plan.find("invoke score"), std::string::npos);
 
   std::vector<std::string> traced;
-  for (const Span& s : tracer.snapshot()) {
+  for (const Span& s : tracer.snapshot().spans) {
     if (s.category == "stage") traced.push_back(s.name);
   }
   std::vector<std::string> timed;
