@@ -494,21 +494,24 @@ void BM_PlannerAllRanks(benchmark::State& state) {
       conjuncts.push_back(std::move(c));
     }
   }
+  // One published tally with the same random profile as before.
   udf::UdfProfiler profiler(kRanks);
+  udf::ProfileTable tally({"ncnpr.dtba", "ncnpr.sw_similarity", "ncnpr.pic50"},
+                          kRanks);
   Rng rng(43);
-  const char* names[] = {"ncnpr.dtba", "ncnpr.sw_similarity", "ncnpr.pic50"};
   for (int r = 0; r < kRanks; ++r) {
-    for (const char* name : names) {
+    for (udf::UdfStats& cell : tally.row(r)) {
       const auto execs = rng.next_below(40);
       for (std::uint64_t i = 0; i < execs; ++i) {
-        profiler.record_exec(
-            r, name, static_cast<sim::Nanos>(1000 + rng.next_below(1000)));
-        if (rng.next_below(4) == 0) profiler.record_reject(r, name);
+        ++cell.execs;
+        cell.total_time += static_cast<sim::Nanos>(1000 + rng.next_below(1000));
+        if (rng.next_below(4) == 0) ++cell.rejects;
       }
     }
   }
+  profiler.publish(tally);
   for (auto _ : state) {
-    const udf::ProfileSnapshot profile =
+    const udf::ProfileTable profile =
         core::snapshot_profile(conjuncts, profiler);
     double total = 0.0;
     for (int r = 0; r < kRanks; ++r) {

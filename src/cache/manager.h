@@ -175,7 +175,7 @@ class CacheManager {
     /// Adds a resident object as the most recently used.
     void insert(ObjectId id, std::uint64_t size, std::string payload = {}) {
       order_.push_front(id);
-      entries_[id] = Entry{order_.begin(), size, std::move(payload)};
+      entries_[id] = LruEntry{order_.begin(), size, std::move(payload)};
       used_ += size;
     }
     /// Marks a resident object most recently used; no-op otherwise.
@@ -195,13 +195,13 @@ class CacheManager {
     }
 
    private:
-    struct Entry {
+    struct LruEntry {
       std::list<ObjectId>::iterator pos;
       std::uint64_t size = 0;
       std::string payload;
     };
     std::list<ObjectId> order_;  // front = most recently used
-    std::unordered_map<ObjectId, Entry, ObjectIdHash> entries_;
+    std::unordered_map<ObjectId, LruEntry, ObjectIdHash> entries_;
     std::uint64_t used_ = 0;
   };
   struct NodeState {

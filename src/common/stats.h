@@ -1,7 +1,8 @@
 #pragma once
 
-// Streaming statistics accumulator used by the UDF profiler, benchmark
-// reports, and cache instrumentation.
+// Streaming statistics: RunningStats summarizes each span category in the
+// trace text report (telemetry::SpanTree::to_text_report); SampleSet
+// answers percentile queries over a small stored sample.
 
 #include <algorithm>
 #include <cmath>

@@ -61,11 +61,23 @@ std::vector<std::string> pattern_vars(const TriplePattern& p) {
   return vars;
 }
 
+/// Every UDF `query` names: in its FILTERs and in each INVOKE clause
+/// (arguments included).
+std::vector<std::string> query_udf_names(const Query& query) {
+  std::vector<std::string> names;
+  for (const auto& f : query.filters) f->collect_udfs(&names);
+  for (const auto& inv : query.invokes) {
+    names.push_back(inv.udf);
+    for (const auto& a : inv.args) a->collect_udfs(&names);
+  }
+  return names;
+}
+
 /// A query's FILTER chain planned for every rank (§2.4.3: per-rank
 /// reordering), all ranks planned from one snapshot of the UDF profile.
 struct FilterPlan {
   std::vector<expr::Conjunct> conjuncts;
-  udf::ProfileSnapshot profile;
+  udf::ProfileTable profile;
   std::vector<std::vector<std::size_t>> orders;  // [rank] -> conjunct order
 
   FilterPlan(const std::vector<expr::ExprPtr>& filters,
@@ -127,6 +139,7 @@ class QueryExecution {
     metrics_->counter("ids_engine_queries_total")->inc();
     query_wall_start_ = telemetry::Tracer::wall_now_ns();
     stage_wall_start_ = query_wall_start_;
+    udfs_ = udf::QueryUdfs(*registry_, query_udf_names(query), p_, metrics_);
     if (tracer_ != nullptr) {
       root_span_ = open_span("query", "query", telemetry::kNoSpan);
       // Stamp the active SIMD dispatch level so every trace records which
@@ -157,6 +170,7 @@ class QueryExecution {
     // One end stamp for the account's query wall time and the root span.
     const std::uint64_t wall_end = telemetry::Tracer::wall_now_ns();
     finish_account(wall_end);
+    publish_udf_tally();
     if (tracer_ != nullptr) {
       span_attr(root_span_, "rows",
                 static_cast<std::uint64_t>(result_.solutions.num_rows()));
@@ -400,12 +414,27 @@ class QueryExecution {
         ->observe(acct.wall_seconds);
   }
 
+  /// Publishes the query's UDF tally once: one profiler publish, and each
+  /// UDF's rejects into ids_udf_rejects_total{udf} (one lookup per UDF
+  /// that rejected a row).
+  void publish_udf_tally() {
+    udf::ProfileTable& tally = udfs_.tally();
+    tally.sum_ranks();
+    profiler_->publish(tally);
+    for (const std::string& name : tally.names()) {
+      const std::uint64_t rejects = tally.aggregate(name).rejects;
+      if (rejects > 0) {
+        metrics_->counter("ids_udf_rejects_total", {{"udf", name}})
+            ->inc(rejects);
+      }
+    }
+  }
+
   /// Expression context for rank r over its rows `t`, one per rank: an
   /// operator's row loop moves only the row cursor and the per-row cost.
   expr::EvalContext rank_context(int r, const SolutionTable& t) {
     return {.row = {&t, 0},
-            .registry = registry_,
-            .profiler = profiler_,
+            .udfs = &udfs_,
             .udf_ctx = {r, features_, vectors_,
                         &rank_rngs_[static_cast<std::size_t>(r)]},
             .speed_factor = speed(r)};
@@ -960,15 +989,22 @@ class QueryExecution {
 
     // Per-conjunct logical-call multipliers: a conjunct's evaluations are
     // charged as `row_multiplier` logical evaluations unless one of its
-    // UDFs has an explicit override (scale model; see EngineOptions).
+    // UDFs has an explicit override (scale model; see EngineOptions). A
+    // rejected row is tallied against the conjunct's last UDF (the
+    // rejection statistic of the paper's profiling section), by index.
     std::vector<double> conj_multiplier(conjuncts.size(),
                                         opts_.row_multiplier);
+    std::vector<std::size_t> reject_udf(conjuncts.size(),
+                                        udf::ProfileTable::npos);
     for (std::size_t ci = 0; ci < conjuncts.size(); ++ci) {
       for (const auto& name : conjuncts[ci].udfs) {
         auto it = opts_.udf_call_multiplier.find(name);
         if (it != opts_.udf_call_multiplier.end()) {
           conj_multiplier[ci] = it->second;
         }
+      }
+      if (!conjuncts[ci].udfs.empty()) {
+        reject_udf[ci] = udfs_.index_of(conjuncts[ci].udfs.back());
       }
     }
 
@@ -982,9 +1018,7 @@ class QueryExecution {
       rank0 += std::to_string(ci);
     }
     stage.attr("rank0_order", std::string_view(rank0));
-    // Evaluate the chain; the first falsy conjunct rejects the row and is
-    // attributed to its last UDF (the rejection statistic of the paper's
-    // profiling section).
+    // Evaluate the chain; the first falsy conjunct rejects the row.
     charge_operator_overhead();
     runtime::for_each_rank(p_, "rank.filter", [&](int r) {
       auto ru = static_cast<std::size_t>(r);
@@ -993,6 +1027,7 @@ class QueryExecution {
       std::vector<char> keep(t.num_rows(), 1);
       double rank_cost = 0.0;  // nanoseconds, multiplier-weighted
       expr::EvalContext ctx = rank_context(r, t);
+      const std::span<udf::UdfStats> tally = udfs_.tally().row(r);
       for (std::size_t row = 0; row < t.num_rows(); ++row) {
         ctx.row.row = row;
         ctx.cost = 0;
@@ -1003,8 +1038,8 @@ class QueryExecution {
                        conj_multiplier[ci];
           if (!expr::truthy(v)) {
             keep[row] = 0;
-            if (!conjuncts[ci].udfs.empty()) {
-              profiler_->record_reject(r, conjuncts[ci].udfs.back());
+            if (reject_udf[ci] != udf::ProfileTable::npos) {
+              ++tally[reject_udf[ci]].rejects;
             }
             break;
           }
@@ -1111,7 +1146,8 @@ class QueryExecution {
 
   void apply_invoke(const InvokeClause& inv) {
     if (!has_schema()) return;
-    const udf::UdfInfo* info = registry_->find(inv.udf);
+    const std::size_t ui = udfs_.index_of(inv.udf);
+    const udf::UdfInfo* info = udfs_.info(ui);
     if (!info) {
       IDS_WARN << "INVOKE of unknown UDF " << inv.udf << "; skipping";
       return;
@@ -1170,7 +1206,7 @@ class QueryExecution {
           // simulation, the paper's "last resort on a total miss").
           RankOp exec = op.call(info->name, "udf");
           const udf::UdfResult res =
-              registry_->call(*info, ctx.udf_ctx, args, speed(r), profiler_);
+              udfs_.call(ui, ctx.udf_ctx, args, speed(r));
           ctx.cost += res.modeled_cost;
           double out = 0.0;
           expr::as_double(res.value, &out);
@@ -1301,6 +1337,7 @@ class QueryExecution {
   // Per-query resource accounting.
   std::uint64_t query_wall_start_ = 0;
   cache::CacheStats cache_tally_;  // this query's own cache reads and writes
+  udf::QueryUdfs udfs_;  // the query's UDFs, looked up once, and its tally
 };
 
 }  // namespace
@@ -1314,10 +1351,7 @@ IdsEngine::IdsEngine(EngineOptions options, graph::TripleStore* triples,
       features_(features),
       keywords_(keywords),
       vectors_(vectors),
-      profiler_(options_.topology.num_ranks(),
-                options_.metrics != nullptr
-                    ? options_.metrics
-                    : &telemetry::MetricsRegistry::global()) {
+      profiler_(options_.topology.num_ranks()) {
   IDS_CHECK(triples_->num_shards() == options_.topology.num_ranks())
       << "store sharding must match the rank count";
   // Every rank speed is read unguarded on the charge paths below.

@@ -67,7 +67,8 @@ struct EngineOptions {
   /// tracing (and no tracing overhead on the hot path).
   telemetry::Tracer* tracer = nullptr;
   /// Metrics sink for engine instruments (ids_engine_queries_total,
-  /// ids_engine_stage_seconds, ids_engine_rebalance_total). nullptr = the
+  /// ids_engine_stage_seconds, ids_engine_rebalance_total) and the
+  /// queries' ids_udf_exec_seconds / ids_udf_rejects_total. nullptr = the
   /// process-global registry.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Finished-query log (see src/telemetry/query_log.h): when set, every
@@ -122,7 +123,9 @@ class IdsEngine {
 
   /// Executes a query. Deterministic for a given engine state; profiling
   /// data accumulated by earlier queries influences planning of later
-  /// ones (§2.4.1: the profile store is continually updated).
+  /// ones (§2.4.1: the profile store is continually updated). The query
+  /// runs the UDF versions registered when it starts, and its UDF
+  /// profile reaches profiler() once, when it finishes.
   QueryResult execute(const Query& query);
 
   /// Human-readable execution plan for the query *as it would run now*

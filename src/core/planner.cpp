@@ -80,7 +80,7 @@ std::vector<std::size_t> order_patterns(
   return order;
 }
 
-udf::ProfileSnapshot snapshot_profile(
+udf::ProfileTable snapshot_profile(
     const std::vector<expr::Conjunct>& conjuncts,
     const udf::UdfProfiler& profiler) {
   std::vector<std::string> names;
@@ -91,7 +91,7 @@ udf::ProfileSnapshot snapshot_profile(
 }
 
 ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
-                                   const udf::ProfileSnapshot& profile) {
+                                   const udf::ProfileTable& profile) {
   ConjunctEstimate e;
   for (const auto& name : conjunct.udfs) {
     e.cost_seconds += profile.estimated_cost_seconds(rank, name);
@@ -103,7 +103,7 @@ ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
 
 std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
-    const udf::ProfileSnapshot& profile, double similar_ratio) {
+    const udf::ProfileTable& profile, double similar_ratio) {
   const std::size_t n = conjuncts.size();
   std::vector<ConjunctEstimate> est(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -134,7 +134,7 @@ std::vector<std::size_t> order_conjuncts(
 double estimate_solution_seconds(
     const std::vector<expr::Conjunct>& conjuncts,
     const std::vector<std::size_t>& order, int rank,
-    const udf::ProfileSnapshot& profile) {
+    const udf::ProfileTable& profile) {
   double total = 0.0;
   double reach_probability = 1.0;
   for (std::size_t idx : order) {

@@ -14,9 +14,9 @@
 //      conjunctive chain by ascending estimated evaluation cost from its
 //      *own* UDF profile; conjuncts with similar cost (within ~20%) are
 //      tie-broken by pruning power (higher rejection rate first). Ranks
-//      may legitimately end up with different orders. Costs come from a
-//      per-query ProfileSnapshot, so planning p ranks is one O(p·U) copy of
-//      the profile plus lock-free arithmetic.
+//      may legitimately end up with different orders. Costs come from one
+//      per-query snapshot of the profile (a udf::ProfileTable), so planning
+//      p ranks is one O(p·U) copy of the profile plus lock-free arithmetic.
 
 #include <vector>
 
@@ -41,7 +41,7 @@ std::vector<std::size_t> order_patterns(
 
 /// The profile the FILTER planner reads for `conjuncts`: one snapshot of
 /// every UDF they contain, taken once per query and shared by all ranks.
-udf::ProfileSnapshot snapshot_profile(
+udf::ProfileTable snapshot_profile(
     const std::vector<expr::Conjunct>& conjuncts,
     const udf::UdfProfiler& profiler);
 
@@ -52,14 +52,14 @@ struct ConjunctEstimate {
 };
 
 ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
-                                   const udf::ProfileSnapshot& profile);
+                                   const udf::ProfileTable& profile);
 
 /// Reorders `conjuncts` for `rank`: ascending cost, ties (within
 /// `similar_ratio`) broken by descending rejection rate; equal conjuncts
 /// keep their original relative order (stable).
 std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
-    const udf::ProfileSnapshot& profile, double similar_ratio = 1.2);
+    const udf::ProfileTable& profile, double similar_ratio = 1.2);
 
 /// Estimated seconds for `rank` to push one solution through the chain in
 /// the given order: conjunct c's cost is discounted by the probability
@@ -69,7 +69,7 @@ std::vector<std::size_t> order_conjuncts(
 double estimate_solution_seconds(
     const std::vector<expr::Conjunct>& conjuncts,
     const std::vector<std::size_t>& order, int rank,
-    const udf::ProfileSnapshot& profile);
+    const udf::ProfileTable& profile);
 
 // Single-call conveniences: each takes a fresh snapshot of the live
 // profiler and forwards to the overload above. Planning many ranks should

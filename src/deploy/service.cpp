@@ -97,8 +97,11 @@ Status DatastoreClient::import_udf(std::string module, std::string method,
                                    udf::UdfFn fn, sim::Nanos load_cost) {
   IdsSession* s = session();
   if (!s) return Status::Unavailable("session torn down");
-  s->engine().registry().register_dynamic(module, method, std::move(fn),
-                                          load_cost);
+  if (!s->engine().registry().register_dynamic(module, method, std::move(fn),
+                                               load_cost)) {
+    return Status::AlreadyExists("static UDF " + module + "." + method +
+                                 " cannot be replaced");
+  }
   // Every node's agent imports the user code (§2.2: agents "import new
   // user codes").
   for (int n = 0; n < s->num_nodes(); ++n) {

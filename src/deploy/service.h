@@ -152,6 +152,8 @@ class DatastoreClient {
 
   /// Imports (or replaces) a dynamic UDF — the paper's Python-module
   /// import path. `load_cost` models the module import time per rank.
+  /// AlreadyExists if a static UDF has the name: static UDFs cannot be
+  /// replaced.
   Status import_udf(std::string module, std::string method, udf::UdfFn fn,
                     sim::Nanos load_cost);
 

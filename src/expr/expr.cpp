@@ -213,16 +213,15 @@ Value eval_arith(const Expr& e, EvalContext& ctx) {
 }
 
 Value eval_udf(const Expr& e, EvalContext& ctx) {
-  if (!ctx.registry) return null_value();
-  const udf::UdfInfo* info = ctx.registry->find(e.name());
-  if (!info) return null_value();
+  if (!ctx.udfs) return null_value();
+  const std::size_t i = ctx.udfs->index_of(e.name());
+  if (!ctx.udfs->info(i)) return null_value();
 
   std::vector<Value> args;
   args.reserve(e.children().size());
   for (const auto& c : e.children()) args.push_back(eval(*c, ctx));
 
-  udf::UdfResult r = ctx.registry->call(*info, ctx.udf_ctx, args,
-                                        ctx.speed_factor, ctx.profiler);
+  udf::UdfResult r = ctx.udfs->call(i, ctx.udf_ctx, args, ctx.speed_factor);
   ctx.cost += r.modeled_cost;
   return std::move(r.value);
 }

@@ -87,12 +87,13 @@ struct RowView {
 /// caller charges it to the rank's virtual clock.
 struct EvalContext {
   RowView row;
-  udf::UdfRegistry* registry = nullptr;
-  udf::UdfProfiler* profiler = nullptr;
+  /// The query's UDFs, each looked up once when the query started, and
+  /// its tally; a call of a UDF it has no version of evaluates to null.
+  udf::QueryUdfs* udfs = nullptr;
   udf::UdfContext udf_ctx;
   /// Relative speed (> 0) of the executing rank (runtime::HeteroProfile);
-  /// modeled UDF costs are divided by it before charging and profiling, so
-  /// the profiler observes each rank's *effective* throughput (§2.4.2).
+  /// modeled UDF costs are divided by it before charging and tallying, so
+  /// the profile records each rank's *effective* throughput (§2.4.2).
   double speed_factor = 1.0;
   sim::Nanos cost = 0;
 };

@@ -37,7 +37,7 @@ void FeatureStore::set(graph::TermId entity, std::string_view feature,
       return;
     }
   }
-  entries.push_back(Entry{fid, std::move(value)});
+  entries.push_back(FeatureEntry{fid, std::move(value)});
   ++shard.pair_count;
 }
 

@@ -80,13 +80,13 @@ class FeatureStore {
  private:
   using FeatureId = std::uint32_t;
 
-  struct Entry {
+  struct FeatureEntry {
     FeatureId feature;
     FeatureValue value;
   };
-  struct Shard {
+  struct FeatureShard {
     // Entities carry a handful of features; a small vector beats a nested map.
-    std::unordered_map<graph::TermId, std::vector<Entry>> entities;
+    std::unordered_map<graph::TermId, std::vector<FeatureEntry>> entities;
     std::size_t pair_count = 0;
   };
 
@@ -96,7 +96,7 @@ class FeatureStore {
   // All three mutate only while ingesting feature pairs (set/intern) and
   // are sealed by freeze(); every serve-phase access is a read, so frozen
   // stores can be shared across concurrent queries (ROADMAP item 1).
-  std::vector<Shard> shards_ IDS_FROZEN_AFTER(freeze);
+  std::vector<FeatureShard> shards_ IDS_FROZEN_AFTER(freeze);
   std::unordered_map<std::string, FeatureId> feature_ids_
       IDS_FROZEN_AFTER(freeze);
   std::vector<std::string> feature_names_ IDS_FROZEN_AFTER(freeze);

@@ -106,14 +106,14 @@ class VectorStore {
                                  Metric metric, float* out);
 
  private:
-  struct Shard {
+  struct VectorShard {
     std::vector<graph::TermId> ids;
     std::vector<float> data;  // row-major, ids.size() x dim
     std::unordered_map<graph::TermId, std::size_t> index;
   };
 
   int dim_;
-  std::vector<Shard> shards_;
+  std::vector<VectorShard> shards_;
 };
 
 }  // namespace ids::store

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -197,7 +196,7 @@ MetricsRegistry& MetricsRegistry::global() {
   return *kGlobal;
 }
 
-MetricsRegistry::Entry* MetricsRegistry::find_or_create(
+MetricsRegistry::Series* MetricsRegistry::find_or_create(
     std::string_view name, LabelSet labels, Kind kind,
     std::span<const double> bounds) {
   IDS_CHECK(valid_metric_name(name)) << "bad metric name: " << name;
@@ -210,11 +209,10 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(
     key += '=';
     key += v;
   }
-  Shard& shard = shards_[std::hash<std::string>{}(key) % kNumShards];
-  MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    Entry entry;
+  MutexLock lock(mutex_);
+  auto it = series_.find(key);
+  if (it == series_.end()) {
+    Series entry;
     entry.name = std::string(name);
     entry.labels = std::move(labels);
     entry.kind = kind;
@@ -229,7 +227,7 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(
         entry.histogram = std::make_unique<Histogram>(bounds);
         break;
     }
-    it = shard.entries.emplace(std::move(key), std::move(entry)).first;
+    it = series_.emplace(std::move(key), std::move(entry)).first;
   } else {
     IDS_CHECK(it->second.kind == kind)
         << "metric " << name << " re-registered as a different kind";
@@ -275,32 +273,30 @@ struct MetricsRegistry::Sample {
 
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot_sorted() const {
   std::vector<Sample> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [key, entry] : shard.entries) {
-      Sample s;
-      s.name = entry.name;
-      s.labels = entry.labels;
-      s.label_str = render_labels(entry.labels, "", "");
-      s.kind = entry.kind;
-      switch (entry.kind) {
-        case Kind::kCounter:
-          s.counter_value = entry.counter->value();
-          break;
-        case Kind::kGauge:
-          s.gauge_value = entry.gauge->value();
-          break;
-        case Kind::kHistogram: {
-          const auto b = entry.histogram->bounds();
-          s.bounds.assign(b.begin(), b.end());
-          s.bucket_counts = entry.histogram->bucket_counts();
-          s.hist_count = entry.histogram->count();
-          s.hist_sum = entry.histogram->sum();
-          break;
-        }
+  MutexLock lock(mutex_);
+  for (const auto& [key, entry] : series_) {
+    Sample s;
+    s.name = entry.name;
+    s.labels = entry.labels;
+    s.label_str = render_labels(entry.labels, "", "");
+    s.kind = entry.kind;
+    switch (entry.kind) {
+      case Kind::kCounter:
+        s.counter_value = entry.counter->value();
+        break;
+      case Kind::kGauge:
+        s.gauge_value = entry.gauge->value();
+        break;
+      case Kind::kHistogram: {
+        const auto b = entry.histogram->bounds();
+        s.bounds.assign(b.begin(), b.end());
+        s.bucket_counts = entry.histogram->bucket_counts();
+        s.hist_count = entry.histogram->count();
+        s.hist_sum = entry.histogram->sum();
+        break;
       }
-      out.push_back(std::move(s));
     }
+    out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(), [](const Sample& a, const Sample& b) {
     if (a.name != b.name) return a.name < b.name;

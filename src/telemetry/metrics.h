@@ -18,17 +18,15 @@
 // pointer that stays valid for the registry's lifetime, so hot paths
 // resolve an instrument once and then touch only atomics.
 //
-// The registry itself is lock-sharded like udf::UdfProfiler: lookups
-// hash the fully-qualified key onto one of 16 shards, each guarded by
-// its own ids::Mutex, so concurrent registration from worker ranks does
-// not serialize. Reads on the hot path (inc/observe/set) are lock-free.
+// One ids::Mutex guards the registry's series map. Lookups happen once
+// per instrument owner, query or UDF, never per row, so they do not
+// contend; reads on the hot path (inc/observe/set) are lock-free.
 //
 // Exporters:
 //   to_prometheus() — text exposition format (# TYPE lines, _bucket/
 //                     _sum/_count for histograms), deterministic order.
 //   to_json()       — machine-readable snapshot for tools and tests.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -123,7 +121,7 @@ double histogram_quantile(std::span<const double> bounds,
 /// hits (~us) and docking runs (~tens of seconds).
 std::span<const double> latency_seconds_buckets();
 
-/// Lock-sharded instrument registry. One `global()` instance serves the
+/// Instrument registry. One `global()` instance serves the
 /// whole process; tests construct private registries for goldens.
 class MetricsRegistry {
  public:
@@ -154,7 +152,7 @@ class MetricsRegistry {
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
 
-  struct Entry {
+  struct Series {
     std::string name;
     LabelSet labels;
     Kind kind;
@@ -163,20 +161,16 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  struct Shard {
-    mutable Mutex mutex;
-    std::map<std::string, Entry> entries IDS_GUARDED_BY(mutex);
-  };
-
-  Entry* find_or_create(std::string_view name, LabelSet labels, Kind kind,
+  Series* find_or_create(std::string_view name, LabelSet labels, Kind kind,
                         std::span<const double> bounds);
 
   /// Stable flattened snapshot used by both exporters.
   struct Sample;
   std::vector<Sample> snapshot_sorted() const;
 
-  static constexpr std::size_t kNumShards = 16;
-  std::array<Shard, kNumShards> shards_;
+  mutable Mutex mutex_;
+  // Keyed by name|label=value|...
+  std::map<std::string, Series> series_ IDS_GUARDED_BY(mutex_);
 };
 
 /// Renders `v` with the shortest decimal digits that round-trip to the

@@ -6,14 +6,39 @@
 
 namespace ids::udf {
 
-std::size_t ProfileSnapshot::index_of(std::string_view name) const {
-  auto it = std::find(names_.begin(), names_.end(), name);
-  IDS_CHECK(it != names_.end()) << "UDF " << name << " is not in the snapshot";
-  return static_cast<std::size_t>(it - names_.begin());
+namespace {
+const UdfStats kNoStats{};
+}  // namespace
+
+ProfileTable::ProfileTable(const std::vector<std::string>& names,
+                           int num_ranks)
+    : num_ranks_(num_ranks) {
+  for (const std::string& n : names) {
+    if (index_of(n) == npos) names_.push_back(n);
+  }
+  per_rank_.resize(static_cast<std::size_t>(num_ranks) * names_.size());
+  aggregate_.resize(names_.size());
 }
 
-double ProfileSnapshot::estimated_cost_seconds(int rank,
-                                               std::string_view name) const {
+std::size_t ProfileTable::index_of(std::string_view name) const {
+  auto it = std::find(names_.begin(), names_.end(), name);
+  return it == names_.end() ? npos
+                            : static_cast<std::size_t>(it - names_.begin());
+}
+
+const UdfStats& ProfileTable::get(int rank, std::string_view name) const {
+  const std::size_t i = index_of(name);
+  if (i == npos) return kNoStats;
+  return per_rank_[static_cast<std::size_t>(rank) * names_.size() + i];
+}
+
+const UdfStats& ProfileTable::aggregate(std::string_view name) const {
+  const std::size_t i = index_of(name);
+  return i == npos ? kNoStats : aggregate_[i];
+}
+
+double ProfileTable::estimated_cost_seconds(int rank,
+                                            std::string_view name) const {
   const double agg_mean = aggregate(name).mean_cost_seconds();
   const UdfStats& s = get(rank, name);
   if (s.execs == 0) return agg_mean;
@@ -23,29 +48,69 @@ double ProfileSnapshot::estimated_cost_seconds(int rank,
   return (1.0 - w) * agg_mean + w * s.mean_cost_seconds();
 }
 
-ProfileSnapshot UdfProfiler::snapshot(
-    const std::vector<std::string>& names) const {
-  ProfileSnapshot snap;
-  for (const std::string& n : names) {
-    if (std::find(snap.names_.begin(), snap.names_.end(), n) ==
-        snap.names_.end()) {
-      snap.names_.push_back(n);
+std::span<UdfStats> ProfileTable::row(int rank) {
+  return std::span<UdfStats>(per_rank_)
+      .subspan(static_cast<std::size_t>(rank) * names_.size(), names_.size());
+}
+
+void ProfileTable::sum_ranks() {
+  std::fill(aggregate_.begin(), aggregate_.end(), UdfStats{});
+  for (std::size_t c = 0; c < per_rank_.size(); ++c) {
+    aggregate_[c % names_.size()].merge(per_rank_[c]);
+  }
+}
+
+void ProfileTable::add(const ProfileTable& other) {
+  IDS_CHECK(other.num_ranks_ == num_ranks_) << "rank counts differ";
+  if (std::any_of(other.names_.begin(), other.names_.end(),
+                  [&](const std::string& n) { return index_of(n) == npos; })) {
+    std::vector<std::string> all = names_;
+    all.insert(all.end(), other.names_.begin(), other.names_.end());
+    *this = select(all);
+  }
+  const std::size_t u = names_.size();
+  const std::size_t v = other.names_.size();
+  for (std::size_t k = 0; k < v; ++k) {
+    const std::size_t i = index_of(other.names_[k]);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(num_ranks_); ++r) {
+      per_rank_[r * u + i].merge(other.per_rank_[r * v + k]);
+      aggregate_[i].merge(other.per_rank_[r * v + k]);
     }
   }
-  const std::size_t u = snap.names_.size();
-  snap.per_rank_.resize(per_rank_.size() * u);
-  snap.aggregate_.resize(u);
-  for (std::size_t r = 0; r < per_rank_.size(); ++r) {
-    Shard& shard = per_rank_[r];
-    MutexLock lock(shard.mutex);
-    for (std::size_t i = 0; i < u; ++i) {
-      auto it = shard.stats.find(snap.names_[i]);
-      if (it == shard.stats.end()) continue;
-      snap.per_rank_[r * u + i] = it->second;
-      snap.aggregate_[i].merge(it->second);
+}
+
+ProfileTable ProfileTable::select(const std::vector<std::string>& names) const {
+  ProfileTable out(names, num_ranks_);
+  const std::size_t u = out.names_.size();
+  for (std::size_t k = 0; k < u; ++k) {
+    const std::size_t i = index_of(out.names_[k]);
+    if (i == npos) continue;
+    out.aggregate_[k] = aggregate_[i];
+    for (std::size_t r = 0; r < static_cast<std::size_t>(num_ranks_); ++r) {
+      out.per_rank_[r * u + k] = per_rank_[r * names_.size() + i];
     }
   }
-  return snap;
+  return out;
+}
+
+void UdfProfiler::publish(const ProfileTable& tally) {
+  MutexLock lock(mutex_);
+  table_.add(tally);
+}
+
+ProfileTable UdfProfiler::snapshot(const std::vector<std::string>& names) const {
+  MutexLock lock(mutex_);
+  return table_.select(names);
+}
+
+UdfStats UdfProfiler::aggregate(std::string_view name) const {
+  MutexLock lock(mutex_);
+  return table_.aggregate(name);
+}
+
+void UdfProfiler::clear() {
+  MutexLock lock(mutex_);
+  table_ = ProfileTable({}, num_ranks_);
 }
 
 }  // namespace ids::udf

@@ -9,23 +9,22 @@
 // solution re-balancing (§2.4.2). The store is continually updated over
 // the lifetime of an IDS instance — stats persist across queries.
 //
-// Locking contract: the store is sharded by rank, one mutex per shard.
-// A rank's record_* calls only touch its own shard, so recording is
-// uncontended on the hot path. The planner never reads the live shards:
-// once per query, between stage barriers, it takes a ProfileSnapshot of
-// the query's UDFs (one pass, one lock per shard) and plans every rank
-// from that immutable copy without taking a lock. The snapshot is the
-// planner's single read path; records made after it do not change it.
+// One value type, ProfileTable, holds these stats for the planner's
+// per-query snapshot, a running query's own tally, and the profiler's
+// running totals. A query's rank r tallies into row r of the query's
+// table without a lock, and the query publishes the table once when it
+// ends (UdfProfiler::publish, one lock). The planner plans every rank
+// from a snapshot taken before the query's first UDF call, so nothing a
+// query writes is read while it runs.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "sim/time.h"
-#include "telemetry/metrics.h"
 
 namespace ids::udf {
 
@@ -54,22 +53,24 @@ struct UdfStats {
   }
 };
 
-/// Immutable copy of the per-rank stats of a fixed set of UDFs, plus their
-/// cross-rank aggregates: what the planner reads to order and cost one
-/// query's FILTER chain on every rank. A plain value; reads take no locks.
-class ProfileSnapshot {
+/// The per-rank stats of a set of UDFs and their cross-rank aggregates; a
+/// plain value that takes no locks. A table holds ranks x UDFs x 24 bytes
+/// (about 200 KB for a query naming 4 UDFs on 2048 ranks).
+class ProfileTable {
  public:
-  /// `name`'s stats on `rank`; zeroed if never seen there. `name` must be
-  /// one of the UDFs the snapshot was taken for.
-  const UdfStats& get(int rank, std::string_view name) const {
-    return per_rank_[static_cast<std::size_t>(rank) * names_.size() +
-                     index_of(name)];
-  }
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// `name`'s stats aggregated over all ranks.
-  const UdfStats& aggregate(std::string_view name) const {
-    return aggregate_[index_of(name)];
-  }
+  ProfileTable() = default;
+  /// Zeroed stats of `names` (each distinct name once) on `num_ranks` ranks.
+  ProfileTable(const std::vector<std::string>& names, int num_ranks);
+
+  const std::vector<std::string>& names() const { return names_; }
+  /// Index of `name` in names(); npos if absent.
+  std::size_t index_of(std::string_view name) const;
+
+  /// `name`'s stats on `rank`, and over all ranks; zeroed if absent.
+  const UdfStats& get(int rank, std::string_view name) const;
+  const UdfStats& aggregate(std::string_view name) const;
 
   /// Estimated mean cost of one execution on `rank`: the rank's own mean,
   /// shrunk toward the cross-rank aggregate by sample count (see
@@ -77,76 +78,43 @@ class ProfileSnapshot {
   /// 0) for UDFs the rank (or every rank) never ran.
   double estimated_cost_seconds(int rank, std::string_view name) const;
 
+  /// Rank `rank`'s cells, indexed like names(). Writes here reach
+  /// aggregate() at the next sum_ranks().
+  std::span<UdfStats> row(int rank);
+  void sum_ranks();
+
+  /// Adds `other`'s rows (same rank count) to this table's rows and
+  /// aggregates, adding the names this table lacks.
+  void add(const ProfileTable& other);
+
+  /// A copy of `names`' rows and aggregates; zeroed for absent names.
+  ProfileTable select(const std::vector<std::string>& names) const;
+
  private:
-  friend class UdfProfiler;
-
-  std::size_t index_of(std::string_view name) const;
-
-  std::vector<std::string> names_;   // distinct, in first-requested order
+  std::vector<std::string> names_;   // distinct
+  int num_ranks_ = 0;
   std::vector<UdfStats> per_rank_;   // [rank * names_.size() + udf]
   std::vector<UdfStats> aggregate_;  // [udf]
 };
 
+/// The running totals every finished query publishes into.
 class UdfProfiler {
  public:
-  /// `metrics` mirrors every record into the registry — an
-  /// ids_udf_exec_seconds{udf=...} histogram of modeled per-exec cost and
-  /// an ids_udf_rejects_total{udf=...} counter — so UDF latency
-  /// distributions appear in the Prometheus exposition alongside the
-  /// planner's own per-rank store. nullptr disables mirroring.
-  explicit UdfProfiler(int num_ranks,
-                       telemetry::MetricsRegistry* metrics = nullptr)
-      : metrics_(metrics), per_rank_(static_cast<std::size_t>(num_ranks)) {}
+  explicit UdfProfiler(int num_ranks)
+      : num_ranks_(num_ranks), table_({}, num_ranks) {}
 
-  int num_ranks() const { return static_cast<int>(per_rank_.size()); }
+  int num_ranks() const { return num_ranks_; }
 
-  /// Records one execution on `rank`. Safe to call concurrently from
-  /// different ranks, and concurrently with cross-rank readers.
-  void record_exec(int rank, std::string_view name, sim::Nanos cost) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("ids_udf_exec_seconds",
-                      telemetry::latency_seconds_buckets(),
-                      {{"udf", std::string(name)}})
-          ->observe(sim::to_seconds(cost));
-    }
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    auto& s = shard.stats[std::string(name)];
-    ++s.execs;
-    s.total_time += cost;
-  }
+  /// Adds one finished query's tally to the totals under one lock, so
+  /// readers see whole queries.
+  void publish(const ProfileTable& tally) IDS_EXCLUDES(mutex_);
 
-  /// Records that `name`'s evaluation rejected an expression on `rank`.
-  void record_reject(int rank, std::string_view name) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->counter("ids_udf_rejects_total", {{"udf", std::string(name)}})
-          ->inc();
-    }
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    ++shard.stats[std::string(name)].rejects;
-  }
+  /// The stats of `names` (duplicates allowed): what the planner reads.
+  ProfileTable snapshot(const std::vector<std::string>& names) const
+      IDS_EXCLUDES(mutex_);
 
-  /// Snapshot of one UDF's stats on one rank; zeroed stats if never seen
-  /// there. (A snapshot, not a pointer: the entry may be updated
-  /// concurrently by the owning rank.)
-  UdfStats get(int rank, std::string_view name) const {
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    auto it = shard.stats.find(std::string(name));
-    return it == shard.stats.end() ? UdfStats{} : it->second;
-  }
-
-  /// Copies the stats of `names` (duplicates allowed) on every rank, one
-  /// lock per shard, and aggregates them across ranks.
-  ProfileSnapshot snapshot(const std::vector<std::string>& names) const;
-
-  /// Stats aggregated over all ranks (a one-UDF snapshot).
-  UdfStats aggregate(std::string_view name) const {
-    return snapshot({std::string(name)}).aggregate(name);
-  }
+  /// Stats aggregated over all ranks; zeroed for a UDF never published.
+  UdfStats aggregate(std::string_view name) const IDS_EXCLUDES(mutex_);
 
   /// Executions a rank needs before its own mean is fully trusted. Below
   /// this, the estimate shrinks toward the cross-rank aggregate: with a
@@ -156,27 +124,12 @@ class UdfProfiler {
   /// to a rank whose one sampled row was cheap.
   static constexpr std::uint64_t kFullConfidenceExecs = 16;
 
-  /// ProfileSnapshot::estimated_cost_seconds over a one-UDF snapshot.
-  double estimated_cost_seconds(int rank, std::string_view name) const {
-    return snapshot({std::string(name)}).estimated_cost_seconds(rank, name);
-  }
-
-  void clear() {
-    for (Shard& shard : per_rank_) {
-      MutexLock lock(shard.mutex);
-      shard.stats.clear();
-    }
-  }
+  void clear() IDS_EXCLUDES(mutex_);
 
  private:
-  struct Shard {
-    mutable Mutex mutex;
-    std::unordered_map<std::string, UdfStats> stats IDS_GUARDED_BY(mutex);
-  };
-
-  telemetry::MetricsRegistry* metrics_;
-  // mutable: const readers (get/snapshot) still lock the shard mutexes.
-  mutable std::vector<Shard> per_rank_;
+  const int num_ranks_;
+  mutable Mutex mutex_;
+  ProfileTable table_ IDS_GUARDED_BY(mutex_);
 };
 
 }  // namespace ids::udf

@@ -4,7 +4,6 @@
 
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
-#include "udf/profiler.h"
 
 namespace ids::udf {
 
@@ -32,10 +31,14 @@ bool UdfRegistry::register_static(std::string name, UdfFn fn) {
   return true;
 }
 
-void UdfRegistry::register_dynamic(std::string module, std::string method,
+bool UdfRegistry::register_dynamic(std::string module, std::string method,
                                    UdfFn fn, sim::Nanos load_cost) {
   MutexLock lock(mutex_);
   std::string name = module + "." + method;
+  if (auto it = udfs_.find(name);
+      it != udfs_.end() && !it->second.back()->dynamic) {
+    return false;  // a static UDF cannot be replaced
+  }
   UdfInfo info;
   info.name = name;
   info.module = std::move(module);
@@ -45,6 +48,7 @@ void UdfRegistry::register_dynamic(std::string module, std::string method,
   udfs_[std::move(name)].push_back(
       std::make_unique<UdfInfo>(std::move(info)));
   registered_counter("dynamic")->inc();
+  return true;
 }
 
 const UdfInfo* UdfRegistry::find(std::string_view name) const {
@@ -69,7 +73,8 @@ sim::Nanos UdfRegistry::charge_module_load(int rank, const UdfInfo& info) {
 
 UdfResult UdfRegistry::call(const UdfInfo& info, const UdfContext& ctx,
                             std::span<const expr::Value> args, double speed,
-                            UdfProfiler* profiler) {
+                            UdfStats& tally,
+                            telemetry::Histogram* exec_seconds) {
   const sim::Nanos load = charge_module_load(ctx.rank, info);
   UdfResult r = [&] {
     // Attribute execution to the UDF by name; UdfInfo outlives every
@@ -79,7 +84,9 @@ UdfResult UdfRegistry::call(const UdfInfo& info, const UdfContext& ctx,
   }();
   const auto scaled = static_cast<sim::Nanos>(
       static_cast<double>(r.modeled_cost) / speed);
-  if (profiler != nullptr) profiler->record_exec(ctx.rank, info.name, scaled);
+  ++tally.execs;
+  tally.total_time += scaled;
+  if (exec_seconds != nullptr) exec_seconds->observe(sim::to_seconds(scaled));
   r.modeled_cost = load + scaled;
   return r;
 }
@@ -105,6 +112,32 @@ std::vector<std::string> UdfRegistry::names() const {
   for (const auto& [name, versions] : udfs_) out.push_back(name);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+QueryUdfs::QueryUdfs(UdfRegistry& registry,
+                     const std::vector<std::string>& names, int num_ranks,
+                     telemetry::MetricsRegistry* metrics)
+    : registry_(&registry),
+      metrics_(metrics),
+      tally_(names, num_ranks),
+      slots_(std::make_unique<Slot[]>(tally_.names().size())) {
+  for (std::size_t i = 0; i < tally_.names().size(); ++i) {
+    slots_[i].info = registry.find(tally_.names()[i]);
+  }
+}
+
+UdfResult QueryUdfs::call(std::size_t i, const UdfContext& ctx,
+                          std::span<const expr::Value> args, double speed) {
+  Slot& slot = slots_[i];
+  if (metrics_ != nullptr) {
+    std::call_once(slot.once, [&] {
+      slot.exec_seconds = metrics_->histogram(
+          "ids_udf_exec_seconds", telemetry::latency_seconds_buckets(),
+          {{"udf", tally_.names()[i]}});
+    });
+  }
+  return registry_->call(*slot.info, ctx, args, speed,
+                         tally_.row(ctx.rank)[i], slot.exec_seconds);
 }
 
 }  // namespace ids::udf

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <string>
@@ -24,15 +25,19 @@
 #include "common/thread_annotations.h"
 #include "expr/value.h"
 #include "sim/time.h"
+#include "udf/profiler.h"
 
 namespace ids::store {
 class FeatureStore;
 class VectorStore;
 }  // namespace ids::store
 
-namespace ids::udf {
+namespace ids::telemetry {
+class Histogram;
+class MetricsRegistry;
+}  // namespace ids::telemetry
 
-class UdfProfiler;  // udf/profiler.h
+namespace ids::udf {
 
 /// Read-only services a UDF may use, plus the rank identity and a
 /// deterministic per-call RNG stream.
@@ -72,7 +77,8 @@ class UdfRegistry {
 
   /// Registers (or replaces) a dynamically loaded UDF as `module.method`.
   /// `load_cost` models the module import time charged once per rank.
-  void register_dynamic(std::string module, std::string method, UdfFn fn,
+  /// Returns false, registering nothing, if a static UDF has the name.
+  bool register_dynamic(std::string module, std::string method, UdfFn fn,
                         sim::Nanos load_cost) IDS_EXCLUDES(mutex_);
 
   /// Looks up a UDF by its qualified name. nullptr if absent. The pointee
@@ -89,12 +95,14 @@ class UdfRegistry {
   /// Executes `info` once on rank `ctx.rank` under the one call protocol
   /// FILTER and INVOKE share: the module-load charge on first touch, a
   /// profiler scope named after the UDF, the modeled cost divided by the
-  /// rank's `speed` (> 0), and that scaled cost recorded in `profiler`
-  /// (when set). Returns the UDF's value and the modeled cost the caller
-  /// charges: the load charge plus the scaled execution cost.
+  /// rank's `speed` (> 0), and that scaled cost added to `tally` as one
+  /// execution and observed in `exec_seconds` (when set). Returns the
+  /// UDF's value and the modeled cost the caller charges: the load charge
+  /// plus the scaled execution cost.
   UdfResult call(const UdfInfo& info, const UdfContext& ctx,
                  std::span<const expr::Value> args, double speed,
-                 UdfProfiler* profiler) IDS_EXCLUDES(mutex_);
+                 UdfStats& tally, telemetry::Histogram* exec_seconds)
+      IDS_EXCLUDES(mutex_);
 
   /// Drops the module from every rank's cache; next call per rank pays the
   /// load cost again. Models the paper's "special function that forces IDS
@@ -111,6 +119,48 @@ class UdfRegistry {
       IDS_GUARDED_BY(mutex_);
   // (rank, module) pairs whose import cost has been charged.
   std::set<std::pair<int, std::string>> loaded_ IDS_GUARDED_BY(mutex_);
+};
+
+/// The UDFs one query names, each looked up once when the query starts:
+/// the query runs the version it found to its end. tally() is the query's
+/// profile over those names, so a UDF's index is also its cell in each
+/// rank's row.
+class QueryUdfs {
+ public:
+  QueryUdfs() = default;
+  /// `metrics` (nullptr = none) gets ids_udf_exec_seconds{udf}.
+  QueryUdfs(UdfRegistry& registry, const std::vector<std::string>& names,
+            int num_ranks, telemetry::MetricsRegistry* metrics);
+
+  /// `name`'s index, or ProfileTable::npos if the query does not name it.
+  std::size_t index_of(std::string_view name) const {
+    return tally_.index_of(name);
+  }
+  /// The version of UDF `i` this query runs; nullptr if none.
+  const UdfInfo* info(std::size_t i) const {
+    return i == ProfileTable::npos ? nullptr : slots_[i].info;
+  }
+
+  /// Executes UDF `i` (info(i) set) through UdfRegistry::call, tallying
+  /// into rank ctx.rank's row and observing ids_udf_exec_seconds{udf},
+  /// which is looked up on the UDF's first execution in the query.
+  /// Concurrent ranks may call it.
+  UdfResult call(std::size_t i, const UdfContext& ctx,
+                 std::span<const expr::Value> args, double speed);
+
+  ProfileTable& tally() { return tally_; }
+
+ private:
+  struct Slot {
+    const UdfInfo* info = nullptr;
+    std::once_flag once;
+    telemetry::Histogram* exec_seconds = nullptr;  // set under `once`
+  };
+
+  UdfRegistry* registry_ = nullptr;
+  telemetry::MetricsRegistry* metrics_ = nullptr;
+  ProfileTable tally_;
+  std::unique_ptr<Slot[]> slots_;  // [i], like tally_.names()
 };
 
 }  // namespace ids::udf

@@ -208,6 +208,11 @@ check "certify flags a reused scratch member" 1 \
       --certify=concurrent-exec "$fixtures/shared_state/bad.cpp"
 check "certify accepts guarded/atomic engine" 0 'certificate OK' \
       --certify=concurrent-exec "$fixtures/shared_state/good.cpp"
+check "certify flags classes sharing a short name" 1 \
+      "ambiguous-class.*class name 'Entry'" \
+      --certify=concurrent-exec "$fixtures/ambiguous_class/bad.cpp"
+check "certify accepts one name per class" 0 'certificate OK' \
+      --certify=concurrent-exec "$fixtures/ambiguous_class/good.cpp"
 check "certify without engine root is an error" 2 \
       'found no IdsEngine::execute' \
       --certify=concurrent-exec "$fixtures/guarded_by/good.cpp"

@@ -354,18 +354,46 @@ TEST(ConcurrencyStress, UdfRegistryRegisterFindReload) {
 }
 
 TEST(ConcurrencyStress, ProfilerCountersFeedRebalancerUnderLoad) {
-  // Ranks record execs while the planner thread concurrently reads
-  // aggregates and runs re-balancing decisions off the live counters —
-  // the paper's §2.4.1/§2.4.2 loop, compressed.
+  // Two queries at a time: each query's ranks tally into their own rows
+  // of the query's table without a lock, and the query publishes the
+  // table once; meanwhile the planner thread snapshots the profile and
+  // runs re-balancing decisions off it — the paper's §2.4.1/§2.4.2 loop,
+  // compressed. Every snapshot must hold whole publishes only.
   constexpr int kRanks = kThreads;
+  constexpr int kQueriesInFlight = 2;
+  constexpr int kQueriesEach = 10;
+  constexpr std::uint64_t kExecs = 50;
   udf::UdfProfiler prof(kRanks);
   std::atomic<bool> stop{false};
 
+  // One query on rank r: kExecs executions of (r+1) ms, a tenth rejecting.
+  auto rank_share = [](udf::UdfStats& cell, int r) {
+    for (std::uint64_t i = 0; i < kExecs; ++i) {
+      ++cell.execs;
+      cell.total_time += sim::from_seconds(0.001 * (r + 1));
+      if (i % 10 == 0) ++cell.rejects;
+    }
+  };
+  auto check_whole = [&](const udf::ProfileTable& snap) {
+    const std::uint64_t queries =
+        snap.aggregate("udf").execs / (kRanks * kExecs);
+    ASSERT_EQ(snap.aggregate("udf").execs, queries * kRanks * kExecs);
+    for (int r = 0; r < kRanks; ++r) {
+      const udf::UdfStats& s = snap.get(r, "udf");
+      ASSERT_EQ(s.execs, queries * kExecs);
+      ASSERT_EQ(s.rejects, queries * (kExecs / 10));
+      ASSERT_EQ(s.total_time, static_cast<sim::Nanos>(queries * kExecs) *
+                                  sim::from_seconds(0.001 * (r + 1)));
+    }
+  };
+
   std::thread planner([&] {
     while (!stop.load()) {
+      const udf::ProfileTable snap = prof.snapshot({"udf"});
+      check_whole(snap);
       std::vector<double> throughput(kRanks, 0.0);
       for (int r = 0; r < kRanks; ++r) {
-        double mean = prof.estimated_cost_seconds(r, "udf");
+        double mean = snap.estimated_cost_seconds(r, "udf");
         throughput[static_cast<std::size_t>(r)] = mean > 0.0 ? 1.0 / mean : 0.0;
       }
       core::RebalanceDecision d = core::decide_rebalance(
@@ -373,30 +401,35 @@ TEST(ConcurrencyStress, ProfilerCountersFeedRebalancerUnderLoad) {
       if (d.rebalance) {
         std::size_t total = 0;
         for (std::size_t v : d.targets) total += v;
-        // Re-balancing conserves rows no matter how torn its input was.
+        // Re-balancing conserves rows no matter which publishes it saw.
         ASSERT_EQ(total, 400u);
       }
       std::this_thread::yield();
     }
   });
 
-  constexpr int kExecs = 500;
-  hammer([&](int rank) {
-    // Rank r's modeled cost is (r+1) ms per exec, so the final per-rank
-    // means are exact despite concurrent reads.
-    for (int i = 0; i < kExecs; ++i) {
-      prof.record_exec(rank, "udf", sim::from_seconds(0.001 * (rank + 1)));
-      if (i % 10 == 0) prof.record_reject(rank, "udf");
-    }
-  });
+  std::vector<std::thread> queries;
+  for (int q = 0; q < kQueriesInFlight; ++q) {
+    queries.emplace_back([&] {
+      for (int n = 0; n < kQueriesEach; ++n) {
+        udf::ProfileTable tally({"udf"}, kRanks);
+        hammer([&](int rank) { rank_share(tally.row(rank)[0], rank); });
+        prof.publish(tally);
+      }
+    });
+  }
+  for (auto& t : queries) t.join();
   stop.store(true);
   planner.join();
 
-  udf::UdfStats agg = prof.aggregate("udf");
-  EXPECT_EQ(agg.execs, static_cast<std::uint64_t>(kRanks) * kExecs);
-  EXPECT_EQ(agg.rejects, static_cast<std::uint64_t>(kRanks) * (kExecs / 10));
+  const udf::ProfileTable final_profile = prof.snapshot({"udf"});
+  check_whole(final_profile);
+  EXPECT_EQ(final_profile.aggregate("udf").execs,
+            static_cast<std::uint64_t>(kQueriesInFlight * kQueriesEach) *
+                kRanks * kExecs);
   for (int r = 0; r < kRanks; ++r) {
-    EXPECT_NEAR(prof.get(r, "udf").mean_cost_seconds(), 0.001 * (r + 1), 1e-9);
+    EXPECT_NEAR(final_profile.get(r, "udf").mean_cost_seconds(),
+                0.001 * (r + 1), 1e-9);
   }
 }
 

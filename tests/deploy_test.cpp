@@ -123,6 +123,22 @@ TEST_F(ClientTest, ImportUdfAndUseInQuery) {
   EXPECT_EQ(r2.value().solutions.num_rows(), 2u);
 }
 
+TEST_F(ClientTest, ImportUdfCannotReplaceAStaticUdf) {
+  auto constant = [](double v) {
+    return [v](const udf::UdfContext&, std::span<const expr::Value>) {
+      return udf::UdfResult{v, sim::from_micros(1)};
+    };
+  };
+  udf::UdfRegistry& reg = launcher_.session(id_)->engine().registry();
+  ASSERT_TRUE(reg.register_static("user.fixed", constant(1.0)));
+
+  const Status st = client_->import_udf("user", "fixed", constant(2.0), 0);
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st.to_string();
+  const udf::UdfInfo* info = reg.find("user.fixed");
+  ASSERT_NE(info, nullptr);
+  EXPECT_FALSE(info->dynamic);
+}
+
 TEST_F(ClientTest, LogsAccumulateAndDrain) {
   ASSERT_TRUE(client_->update({{"a", "b", "c"}}).ok());
   (void)client_->query("SELECT ?x WHERE { ?x b c }");

@@ -76,10 +76,13 @@ bool reference_filter(const Row& row, const std::vector<expr::ExprPtr>& filters,
   }
   graph::SolutionTable t{vars};
   t.append_row(vals);
+  std::vector<std::string> names;
+  for (const auto& f : filters) f->collect_udfs(&names);
+  udf::QueryUdfs udfs(*registry, names, 1, nullptr);
   for (const auto& f : filters) {
     expr::EvalContext ctx;
     ctx.row = {&t, 0};
-    ctx.registry = registry;
+    ctx.udfs = &udfs;
     ctx.udf_ctx.features = features;
     if (!expr::truthy(expr::eval(*f, ctx))) return false;
   }

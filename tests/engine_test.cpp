@@ -186,6 +186,121 @@ TEST_F(EngineFixture, UdfFilterAndRejectProfiling) {
   EXPECT_GT(agg.total_time, 0u);
 }
 
+/// Three items on one rank: a query's rows run in one order, so what a
+/// UDF sees on each call is deterministic.
+class OneRankFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 3; ++i) {
+      triples_.add("item" + std::to_string(i), "type", "Item");
+    }
+    triples_.finalize();
+    features_.freeze();
+    first_ = *triples_.dict().lookup("item0");
+  }
+
+  IdsEngine make_engine() {
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(1);
+    opts.metrics = &metrics_;
+    return IdsEngine(opts, &triples_, &features_);
+  }
+
+  /// ?x type Item, FILTER udf(?x); INVOKE udf(?x) too when `invoke`.
+  Query items_through(const std::string& udf, bool invoke) {
+    const graph::Dictionary& d = triples_.dict();
+    Query q;
+    q.patterns.push_back({PatternTerm::Var("x"),
+                          PatternTerm::Const(*d.lookup("type")),
+                          PatternTerm::Const(*d.lookup("Item"))});
+    q.filters.push_back(Expr::Udf(udf, {Expr::Var("x")}));
+    if (invoke) {
+      InvokeClause inv;
+      inv.udf = udf;
+      inv.args = {Expr::Var("x")};
+      inv.out_var = "v";
+      q.invokes.push_back(inv);
+    }
+    return q;
+  }
+
+  bool is_first(const expr::Value& v) const {
+    const auto* e = std::get_if<expr::Entity>(&v);
+    return e != nullptr && e->id == first_;
+  }
+
+  graph::TripleStore triples_{1};
+  store::FeatureStore features_{1};
+  telemetry::MetricsRegistry metrics_;
+  TermId first_ = graph::kInvalidTerm;
+};
+
+TEST_F(OneRankFixture, QueryPublishesItsUdfTallyOnceWhenItEnds) {
+  IdsEngine eng = make_engine();
+  // Each call records the executions the shared profile held then; the
+  // UDF rejects item0 and costs 1 ms.
+  std::vector<std::uint64_t> seen;
+  eng.registry().register_static(
+      "peek", [&](const udf::UdfContext&, std::span<const expr::Value> args) {
+        seen.push_back(eng.profiler().aggregate("peek").execs);
+        return udf::UdfResult{!is_first(args[0]), sim::from_millis(1)};
+      });
+  const Query q = items_through("peek", /*invoke=*/true);
+
+  // FILTER runs 3 calls and INVOKE 2: every one of them sees the profile
+  // as it was before the query.
+  eng.execute(q);
+  EXPECT_EQ(seen, std::vector<std::uint64_t>(5, 0));
+  eng.execute(q);
+  std::vector<std::uint64_t> want(5, 0);
+  want.insert(want.end(), 5, 5);
+  EXPECT_EQ(seen, want);
+
+  const udf::UdfStats agg = eng.profiler().aggregate("peek");
+  EXPECT_EQ(agg.execs, 10u);
+  EXPECT_EQ(agg.total_time, sim::from_millis(10));
+  EXPECT_EQ(agg.rejects, 2u);
+  EXPECT_EQ(metrics_.counter("ids_udf_rejects_total", {{"udf", "peek"}})
+                ->value(),
+            2u);
+  EXPECT_EQ(metrics_
+                .histogram("ids_udf_exec_seconds",
+                           telemetry::latency_seconds_buckets(),
+                           {{"udf", "peek"}})
+                ->count(),
+            10u);
+}
+
+TEST_F(OneRankFixture, FilterKeepsOneUdfVersionForTheWholeQuery) {
+  IdsEngine eng = make_engine();
+  // Version 1 passes every row, but on its first call it re-registers its
+  // own name as version 2, which rejects every row.
+  bool replaced = false;
+  auto rejects_all = [](const udf::UdfContext&, std::span<const expr::Value>) {
+    return udf::UdfResult{false, sim::from_millis(1)};
+  };
+  eng.registry().register_dynamic(
+      "mod", "f",
+      [&](const udf::UdfContext&, std::span<const expr::Value>) {
+        if (!replaced) {
+          replaced = true;
+          eng.registry().register_dynamic("mod", "f", rejects_all, 0);
+        }
+        return udf::UdfResult{true, sim::from_millis(1)};
+      },
+      0);
+  const Query q = items_through("mod.f", /*invoke=*/false);
+
+  // The query that started with version 1 runs it on all three rows...
+  EXPECT_EQ(eng.execute(q).solutions.num_rows(), 3u);
+  EXPECT_TRUE(replaced);
+  // ...and the next query runs version 2.
+  EXPECT_EQ(eng.execute(q).solutions.num_rows(), 0u);
+  const udf::UdfStats agg = eng.profiler().aggregate("mod.f");
+  EXPECT_EQ(agg.execs, 6u);
+  EXPECT_EQ(agg.rejects, 3u);
+}
+
 TEST_F(EngineFixture, ReorderingNeverChangesResults) {
   auto run = [&](bool reorder, RebalancePolicy policy) {
     EngineOptions opts;

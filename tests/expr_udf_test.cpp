@@ -1,5 +1,5 @@
 // Tests for expression evaluation, conjunct chains, the UDF registry's
-// module cache, and the per-rank profiler.
+// module cache, a query's resolved UDFs, and the per-rank profile tables.
 
 #include <gtest/gtest.h>
 
@@ -112,11 +112,10 @@ TEST(Expr, ShortCircuitSkipsRightCost) {
     ++calls;
     return udf::UdfResult{true, sim::from_seconds(1.0)};
   });
-  udf::UdfProfiler prof(1);
+  udf::QueryUdfs udfs(reg, {"expensive"}, 1, nullptr);
 
   EvalContext ctx;
-  ctx.registry = &reg;
-  ctx.profiler = &prof;
+  ctx.udfs = &udfs;
   auto e = Expr::And(Expr::Constant(false), Expr::Udf("expensive", {}));
   EXPECT_FALSE(expr::truthy(expr::eval(*e, ctx)));
   EXPECT_EQ(calls, 0);
@@ -133,26 +132,56 @@ TEST(Expr, UdfCostScaledBySpeedFactor) {
                                  std::span<const Value>) {
     return udf::UdfResult{1.0, sim::from_seconds(3.0)};
   });
-  udf::UdfProfiler prof(2);
+  udf::QueryUdfs udfs(reg, {"work"}, 2, nullptr);
 
   EvalContext fast;
-  fast.registry = &reg;
-  fast.profiler = &prof;
+  fast.udfs = &udfs;
   fast.udf_ctx.rank = 0;
   fast.speed_factor = 3.0;
   expr::eval(*Expr::Udf("work", {}), fast);
   EXPECT_NEAR(sim::to_seconds(fast.cost), 1.0, 0.01);
 
   EvalContext slow;
-  slow.registry = &reg;
-  slow.profiler = &prof;
+  slow.udfs = &udfs;
   slow.udf_ctx.rank = 1;
   slow.speed_factor = 1.0;
   expr::eval(*Expr::Udf("work", {}), slow);
   EXPECT_NEAR(sim::to_seconds(slow.cost), 3.0, 0.01);
 
-  // The profiler sees each rank's effective cost.
-  EXPECT_LT(prof.get(0, "work").total_time, prof.get(1, "work").total_time);
+  // The tally records each rank's effective cost.
+  const udf::ProfileTable& tally = udfs.tally();
+  EXPECT_LT(tally.get(0, "work").total_time, tally.get(1, "work").total_time);
+}
+
+TEST(Expr, QueryUdfsKeepTheVersionFoundAtResolution) {
+  udf::UdfRegistry reg;
+  auto version = [](double v) {
+    return [v](const udf::UdfContext&, std::span<const Value>) {
+      return udf::UdfResult{v, 0};
+    };
+  };
+  ASSERT_TRUE(reg.register_dynamic("mod", "f", version(1.0), 0));
+  udf::QueryUdfs udfs(reg, {"mod.f", "missing", "mod.f"}, 1, nullptr);
+  ASSERT_TRUE(reg.register_dynamic("mod", "f", version(2.0), 0));
+
+  // One index per distinct name; a name never registered has no version
+  // and evaluates to null without touching the tally.
+  const udf::ProfileTable& tally = udfs.tally();
+  EXPECT_EQ(tally.names(), (std::vector<std::string>{"mod.f", "missing"}));
+  EXPECT_EQ(udfs.index_of("elsewhere"), udf::ProfileTable::npos);
+  EXPECT_EQ(udfs.info(udfs.index_of("elsewhere")), nullptr);
+  EXPECT_EQ(udfs.info(udfs.index_of("missing")), nullptr);
+  EvalContext ctx;
+  ctx.udfs = &udfs;
+  EXPECT_TRUE(expr::is_null(expr::eval(*Expr::Udf("missing", {}), ctx)));
+
+  double d = 0;
+  ASSERT_TRUE(expr::as_double(expr::eval(*Expr::Udf("mod.f", {}), ctx), &d));
+  EXPECT_DOUBLE_EQ(d, 1.0);
+  ASSERT_TRUE(expr::as_double(reg.find("mod.f")->fn({}, {}).value, &d));
+  EXPECT_DOUBLE_EQ(d, 2.0);  // the registry itself has moved on
+  EXPECT_EQ(tally.get(0, "mod.f").execs, 1u);
+  EXPECT_EQ(tally.get(0, "missing").execs, 0u);
 }
 
 TEST(Expr, ToStringRendersReadably) {
@@ -221,6 +250,27 @@ TEST(Registry, DynamicCanBeReplaced) {
   EXPECT_DOUBLE_EQ(d, 2.0);
 }
 
+TEST(Registry, DynamicCannotShadowStatic) {
+  udf::UdfRegistry reg;
+  ASSERT_TRUE(reg.register_static(
+      "mod.f", [](const udf::UdfContext&, std::span<const Value>) {
+        return udf::UdfResult{1.0, 0};
+      }));
+  EXPECT_FALSE(reg.register_dynamic(
+      "mod", "f",
+      [](const udf::UdfContext&, std::span<const Value>) {
+        return udf::UdfResult{2.0, 0};
+      },
+      0));
+  const udf::UdfInfo* info = reg.find("mod.f");
+  ASSERT_NE(info, nullptr);
+  EXPECT_FALSE(info->dynamic);
+  udf::UdfContext ctx;
+  double d = 0;
+  ASSERT_TRUE(expr::as_double(info->fn(ctx, {}).value, &d));
+  EXPECT_DOUBLE_EQ(d, 1.0);
+}
+
 TEST(Registry, ModuleLoadChargedOncePerRank) {
   udf::UdfRegistry reg;
   reg.register_dynamic("mod", "f",
@@ -258,13 +308,25 @@ TEST(Registry, NamesSorted) {
   EXPECT_EQ(reg.names(), (std::vector<std::string>{"alpha", "zeta"}));
 }
 
+/// One finished query's tally: `execs` executions of `name` on `rank`
+/// costing `cost` each, `rejects` of them rejecting.
+udf::ProfileTable one_query(int num_ranks, int rank, const std::string& name,
+                            std::uint64_t execs, sim::Nanos cost,
+                            std::uint64_t rejects = 0) {
+  udf::ProfileTable tally({name}, num_ranks);
+  udf::UdfStats& s = tally.row(rank)[0];
+  s.execs = execs;
+  s.total_time = cost * static_cast<sim::Nanos>(execs);
+  s.rejects = rejects;
+  return tally;
+}
+
 TEST(Profiler, TracksTheThreePaperStatistics) {
   udf::UdfProfiler prof(2);
-  prof.record_exec(0, "f", sim::from_seconds(1.0));
-  prof.record_exec(0, "f", sim::from_seconds(3.0));
-  prof.record_reject(0, "f");
+  prof.publish(one_query(2, 0, "f", 1, sim::from_seconds(1.0)));
+  prof.publish(one_query(2, 0, "f", 1, sim::from_seconds(3.0), 1));
 
-  const udf::UdfStats s = prof.get(0, "f");
+  const udf::UdfStats s = prof.snapshot({"f"}).get(0, "f");
   EXPECT_EQ(s.execs, 2u);                         // (i) execution count
   EXPECT_EQ(s.total_time, sim::from_seconds(4.0));  // (ii) total time
   EXPECT_EQ(s.rejects, 1u);                       // (iii) rejections
@@ -274,33 +336,70 @@ TEST(Profiler, TracksTheThreePaperStatistics) {
 
 TEST(Profiler, AggregateMergesRanks) {
   udf::UdfProfiler prof(3);
-  prof.record_exec(0, "f", sim::from_seconds(1.0));
-  prof.record_exec(2, "f", sim::from_seconds(2.0));
+  prof.publish(one_query(3, 0, "f", 1, sim::from_seconds(1.0)));
+  prof.publish(one_query(3, 2, "f", 1, sim::from_seconds(2.0)));
   udf::UdfStats agg = prof.aggregate("f");
   EXPECT_EQ(agg.execs, 2u);
   EXPECT_DOUBLE_EQ(agg.mean_cost_seconds(), 1.5);
+  EXPECT_EQ(prof.aggregate("never").execs, 0u);
+}
+
+TEST(Profiler, PublishAddsNewNamesAndKeepsOldOnes) {
+  udf::UdfProfiler prof(2);
+  prof.publish(one_query(2, 1, "f", 3, sim::from_seconds(1.0), 1));
+  udf::ProfileTable tally({"g", "f"}, 2);
+  tally.row(0)[0] = {2, sim::from_seconds(4.0), 2};  // g on rank 0
+  tally.row(1)[1] = {1, sim::from_seconds(1.0), 0};  // f on rank 1
+  prof.publish(tally);
+
+  const udf::ProfileTable snap = prof.snapshot({"f", "g", "h"});
+  EXPECT_EQ(snap.names(), (std::vector<std::string>{"f", "g", "h"}));
+  EXPECT_EQ(snap.get(1, "f").execs, 4u);
+  EXPECT_EQ(snap.get(1, "f").rejects, 1u);
+  EXPECT_EQ(snap.get(0, "f").execs, 0u);
+  EXPECT_EQ(snap.get(0, "g").total_time, sim::from_seconds(4.0));
+  EXPECT_EQ(snap.aggregate("g").rejects, 2u);
+  EXPECT_EQ(snap.aggregate("h").execs, 0u);
+  EXPECT_EQ(prof.aggregate("f").execs, 4u);
+
+  prof.clear();
+  EXPECT_EQ(prof.aggregate("f").execs, 0u);
+}
+
+TEST(ProfileTable, RowWritesReachAggregatesAtSumRanks) {
+  udf::ProfileTable t({"f", "g", "f"}, 3);
+  ASSERT_EQ(t.names(), (std::vector<std::string>{"f", "g"}));
+  ++t.row(0)[1].execs;
+  t.row(2)[1].execs += 2;
+  t.row(2)[0].rejects = 5;
+  EXPECT_EQ(t.aggregate("g").execs, 0u);
+  t.sum_ranks();
+  EXPECT_EQ(t.aggregate("g").execs, 3u);
+  EXPECT_EQ(t.aggregate("f").rejects, 5u);
+  EXPECT_EQ(t.get(2, "g").execs, 2u);
 }
 
 TEST(Profiler, EstimateFallsBackToAggregate) {
   udf::UdfProfiler prof(2);
-  prof.record_exec(0, "f", sim::from_seconds(2.0));
+  prof.publish(one_query(2, 0, "f", 1, sim::from_seconds(2.0)));
   // Rank 1 has no samples: it borrows the cross-rank aggregate.
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "f"), 2.0);
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "unknown"), 0.0);
+  const udf::ProfileTable snap = prof.snapshot({"f", "unknown"});
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "f"), 2.0);
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "unknown"), 0.0);
 }
 
 TEST(Profiler, SparseRankEstimateShrinksTowardAggregate) {
   udf::UdfProfiler prof(2);
   // Rank 0 saw one unusually expensive row; rank 1 saw many cheap ones.
-  prof.record_exec(0, "f", sim::from_seconds(10.0));
-  for (std::uint64_t i = 0; i < udf::UdfProfiler::kFullConfidenceExecs; ++i) {
-    prof.record_exec(1, "f", sim::from_seconds(1.0));
-  }
-  double agg = prof.aggregate("f").mean_cost_seconds();
+  prof.publish(one_query(2, 0, "f", 1, sim::from_seconds(10.0)));
+  prof.publish(one_query(2, 1, "f", udf::UdfProfiler::kFullConfidenceExecs,
+                         sim::from_seconds(1.0)));
+  const udf::ProfileTable snap = prof.snapshot({"f"});
+  double agg = snap.aggregate("f").mean_cost_seconds();
   // Rank 0's single sample barely moves it off the aggregate...
-  EXPECT_LT(prof.estimated_cost_seconds(0, "f"), agg + 1.0);
+  EXPECT_LT(snap.estimated_cost_seconds(0, "f"), agg + 1.0);
   // ...while rank 1's well-sampled mean is trusted in full.
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "f"), 1.0);
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "f"), 1.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 
@@ -170,11 +171,20 @@ TEST_F(PatternOrdering, DisconnectedPatternsGoLast) {
 
 // --- Conjunct ordering ------------------------------------------------------
 
+/// Publishes one finished query's tally to `prof`: `execs` executions of
+/// `name` on `rank` costing `cost` each, `rejects` of them rejecting.
+void publish(udf::UdfProfiler& prof, int rank, const std::string& name,
+             std::uint64_t execs, sim::Nanos cost, std::uint64_t rejects = 0) {
+  udf::ProfileTable tally({name}, prof.num_ranks());
+  tally.row(rank)[0] = {execs, cost * static_cast<sim::Nanos>(execs), rejects};
+  prof.publish(tally);
+}
+
 TEST(ConjunctOrdering, AscendingProfiledCost) {
   udf::UdfProfiler prof(1);
-  prof.record_exec(0, "cheap", sim::from_millis(1));
-  prof.record_exec(0, "mid", sim::from_seconds(0.2));
-  prof.record_exec(0, "costly", sim::from_seconds(30));
+  publish(prof, 0, "cheap", 1, sim::from_millis(1));
+  publish(prof, 0, "mid", 1, sim::from_seconds(0.2));
+  publish(prof, 0, "costly", 1, sim::from_seconds(30));
 
   std::vector<expr::Conjunct> conj = {
       {Expr::Udf("costly", {}), {"costly"}},
@@ -188,12 +198,8 @@ TEST(ConjunctOrdering, AscendingProfiledCost) {
 TEST(ConjunctOrdering, TieBrokenByRejectionRate) {
   udf::UdfProfiler prof(1);
   // Equal cost; g rejects more.
-  for (int i = 0; i < 10; ++i) {
-    prof.record_exec(0, "f", sim::from_seconds(1.0));
-    prof.record_exec(0, "g", sim::from_seconds(1.0));
-  }
-  prof.record_reject(0, "f");
-  for (int i = 0; i < 8; ++i) prof.record_reject(0, "g");
+  publish(prof, 0, "f", 10, sim::from_seconds(1.0), 1);
+  publish(prof, 0, "g", 10, sim::from_seconds(1.0), 8);
 
   std::vector<expr::Conjunct> conj = {
       {Expr::Udf("f", {}), {"f"}},
@@ -218,12 +224,11 @@ TEST(ConjunctOrdering, PerRankOrdersDiffer) {
   udf::UdfProfiler prof(2);
   // Rank 0 finds f cheap; rank 1 finds f expensive. Enough samples that
   // the shrinkage toward the aggregate trusts the per-rank means.
-  for (std::uint64_t i = 0; i < udf::UdfProfiler::kFullConfidenceExecs; ++i) {
-    prof.record_exec(0, "f", sim::from_millis(1));
-    prof.record_exec(1, "f", sim::from_seconds(10));
-    prof.record_exec(0, "g", sim::from_seconds(1));
-    prof.record_exec(1, "g", sim::from_seconds(1));
-  }
+  constexpr std::uint64_t kFull = udf::UdfProfiler::kFullConfidenceExecs;
+  publish(prof, 0, "f", kFull, sim::from_millis(1));
+  publish(prof, 1, "f", kFull, sim::from_seconds(10));
+  publish(prof, 0, "g", kFull, sim::from_seconds(1));
+  publish(prof, 1, "g", kFull, sim::from_seconds(1));
 
   std::vector<expr::Conjunct> conj = {
       {Expr::Udf("f", {}), {"f"}},
@@ -237,11 +242,8 @@ TEST(ConjunctOrdering, PerRankOrdersDiffer) {
 
 TEST(ConjunctOrdering, SolutionTimeEstimateDiscountsBySelectivity) {
   udf::UdfProfiler prof(1);
-  for (int i = 0; i < 10; ++i) {
-    prof.record_exec(0, "first", sim::from_seconds(1.0));
-    prof.record_exec(0, "second", sim::from_seconds(10.0));
-  }
-  for (int i = 0; i < 9; ++i) prof.record_reject(0, "first");  // rejects 90%
+  publish(prof, 0, "first", 10, sim::from_seconds(1.0), 9);  // rejects 90%
+  publish(prof, 0, "second", 10, sim::from_seconds(10.0));
 
   std::vector<expr::Conjunct> conj = {
       {Expr::Udf("first", {}), {"first"}},
@@ -255,28 +257,40 @@ TEST(ConjunctOrdering, SolutionTimeEstimateDiscountsBySelectivity) {
 
 // --- Profile snapshot equivalence --------------------------------------------
 //
-// The planner reads one ProfileSnapshot per query. Its orders and estimates
-// must equal, bit for bit, a reference computed straight from the live
-// profiler's per-rank get() with the aggregate merged over ranks.
+// The planner reads one snapshot of the profile per query. Its orders and
+// estimates must equal, bit for bit, a reference computed straight from
+// every execution and reject the published queries carried, summed per
+// rank and merged over ranks for the aggregate.
+
+/// [rank] -> UDF -> stats: what the published tallies add up to.
+using RefProfile = std::vector<std::map<std::string, udf::UdfStats>>;
+
+udf::UdfStats ref_stats(const RefProfile& ref, int rank,
+                        const std::string& name) {
+  const auto& m = ref[static_cast<std::size_t>(rank)];
+  auto it = m.find(name);
+  return it == m.end() ? udf::UdfStats{} : it->second;
+}
+
+udf::UdfStats ref_aggregate(const RefProfile& ref, const std::string& name) {
+  udf::UdfStats agg;
+  for (std::size_t r = 0; r < ref.size(); ++r) {
+    agg.merge(ref_stats(ref, static_cast<int>(r), name));
+  }
+  return agg;
+}
 
 struct RefEstimate {
   double cost = 0.0;
   double reject = 0.0;
 };
 
-udf::UdfStats ref_aggregate(const udf::UdfProfiler& prof,
-                            const std::string& name) {
-  udf::UdfStats agg;
-  for (int r = 0; r < prof.num_ranks(); ++r) agg.merge(prof.get(r, name));
-  return agg;
-}
-
-RefEstimate ref_estimate(const udf::UdfProfiler& prof,
-                         const expr::Conjunct& c, int rank) {
+RefEstimate ref_estimate(const RefProfile& ref, const expr::Conjunct& c,
+                         int rank) {
   RefEstimate e;
   for (const auto& name : c.udfs) {
-    const udf::UdfStats agg = ref_aggregate(prof, name);
-    const udf::UdfStats s = prof.get(rank, name);
+    const udf::UdfStats agg = ref_aggregate(ref, name);
+    const udf::UdfStats s = ref_stats(ref, rank, name);
     double cost = agg.mean_cost_seconds();
     if (s.execs != 0) {
       double w = std::min(
@@ -290,11 +304,11 @@ RefEstimate ref_estimate(const udf::UdfProfiler& prof,
   return e;
 }
 
-std::vector<std::size_t> ref_order(const udf::UdfProfiler& prof,
+std::vector<std::size_t> ref_order(const RefProfile& ref,
                                    const std::vector<expr::Conjunct>& conj,
                                    int rank) {
   std::vector<RefEstimate> est;
-  for (const auto& c : conj) est.push_back(ref_estimate(prof, c, rank));
+  for (const auto& c : conj) est.push_back(ref_estimate(ref, c, rank));
   auto bucket = [](double cost) {
     if (cost <= 0.0) return std::numeric_limits<int>::min();
     return static_cast<int>(std::floor(std::log(cost) / std::log(1.2)));
@@ -311,25 +325,38 @@ std::vector<std::size_t> ref_order(const udf::UdfProfiler& prof,
   return order;
 }
 
-double ref_solution_seconds(const udf::UdfProfiler& prof,
+double ref_solution_seconds(const RefProfile& ref,
                             const std::vector<expr::Conjunct>& conj,
                             const std::vector<std::size_t>& order, int rank) {
   double total = 0.0;
   double reach = 1.0;
   for (std::size_t idx : order) {
-    RefEstimate e = ref_estimate(prof, conj[idx], rank);
+    RefEstimate e = ref_estimate(ref, conj[idx], rank);
     total += reach * e.cost;
     reach *= std::max(0.0, 1.0 - e.reject);
   }
   return total;
 }
 
-/// Random per-rank profile: each (rank, UDF) gets no executions, fewer than
-/// kFullConfidenceExecs, or more, with random costs and rejects.
-void fill_random_profile(udf::UdfProfiler* prof,
-                         const std::vector<std::string>& udfs, Rng* rng) {
+/// Random per-rank profile, published as three queries' tallies: each
+/// (rank, UDF) gets no executions, fewer than kFullConfidenceExecs, or
+/// more, with random costs and rejects, each execution in a random one of
+/// the three tallies. Returns what the tallies add up to.
+RefProfile fill_random_profile(udf::UdfProfiler* prof,
+                               const std::vector<std::string>& udfs,
+                               Rng* rng) {
   constexpr std::uint64_t kFull = udf::UdfProfiler::kFullConfidenceExecs;
-  for (int r = 0; r < prof->num_ranks(); ++r) {
+  const int p = prof->num_ranks();
+  RefProfile ref(static_cast<std::size_t>(p));
+  // Each query names the UDFs in its own order.
+  std::vector<udf::ProfileTable> queries;
+  for (std::size_t q = 0; q < 3; ++q) {
+    std::vector<std::string> names = udfs;
+    std::rotate(names.begin(), names.begin() + static_cast<long>(q % udfs.size()),
+                names.end());
+    queries.emplace_back(names, p);
+  }
+  for (int r = 0; r < p; ++r) {
     for (const auto& name : udfs) {
       std::uint64_t execs = 0;
       switch (rng->next_below(3)) {
@@ -341,15 +368,22 @@ void fill_random_profile(udf::UdfProfiler* prof,
           execs = kFull + rng->next_below(30);
       }
       for (std::uint64_t i = 0; i < execs; ++i) {
-        prof->record_exec(
-            r, name, static_cast<sim::Nanos>(1 + rng->next_below(5'000'000)));
-        if (rng->next_below(3) == 0) prof->record_reject(r, name);
+        udf::ProfileTable& q = queries[rng->next_below(queries.size())];
+        const auto at = static_cast<std::size_t>(
+            std::find(q.names().begin(), q.names().end(), name) -
+            q.names().begin());
+        udf::UdfStats one{1, static_cast<sim::Nanos>(1 + rng->next_below(5'000'000)),
+                          rng->next_below(3) == 0 ? 1u : 0u};
+        q.row(r)[at].merge(one);
+        ref[static_cast<std::size_t>(r)][name].merge(one);
       }
     }
   }
+  for (const udf::ProfileTable& q : queries) prof->publish(q);
+  return ref;
 }
 
-TEST(ProfileSnapshot, PlannerMatchesLiveProfilerReferenceBitForBit) {
+TEST(ProfileTable, PlannerMatchesPublishedReferenceBitForBit) {
   const std::vector<std::string> seen = {"a", "b", "c", "d"};
   // "a" appears in three conjuncts (once alongside "b"), "ghost" was never
   // executed anywhere, and one conjunct calls no UDF at all.
@@ -365,11 +399,11 @@ TEST(ProfileSnapshot, PlannerMatchesLiveProfilerReferenceBitForBit) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
     udf::UdfProfiler prof(37);
-    fill_random_profile(&prof, seen, &rng);
+    const RefProfile ref = fill_random_profile(&prof, seen, &rng);
 
-    const udf::ProfileSnapshot snap = snapshot_profile(conj, prof);
+    const udf::ProfileTable snap = snapshot_profile(conj, prof);
     for (const auto& name : seen) {
-      const udf::UdfStats agg = ref_aggregate(prof, name);
+      const udf::UdfStats agg = ref_aggregate(ref, name);
       EXPECT_EQ(snap.aggregate(name).execs, agg.execs);
       EXPECT_EQ(snap.aggregate(name).total_time, agg.total_time);
       EXPECT_EQ(snap.aggregate(name).rejects, agg.rejects);
@@ -377,26 +411,28 @@ TEST(ProfileSnapshot, PlannerMatchesLiveProfilerReferenceBitForBit) {
     }
     for (int r = 0; r < prof.num_ranks(); ++r) {
       const auto order = order_conjuncts(conj, r, snap);
-      EXPECT_EQ(order, ref_order(prof, conj, r)) << "rank " << r;
+      EXPECT_EQ(order, ref_order(ref, conj, r)) << "rank " << r;
       EXPECT_EQ(order, order_conjuncts(conj, r, prof)) << "rank " << r;
       EXPECT_EQ(estimate_solution_seconds(conj, order, r, snap),
-                ref_solution_seconds(prof, conj, order, r))
+                ref_solution_seconds(ref, conj, order, r))
           << "rank " << r;
       for (const auto& c : conj) {
         const ConjunctEstimate e = estimate_conjunct(c, r, snap);
-        const RefEstimate ref = ref_estimate(prof, c, r);
-        EXPECT_EQ(e.cost_seconds, ref.cost);
-        EXPECT_EQ(e.rejection_rate, ref.reject);
+        const RefEstimate ref_e = ref_estimate(ref, c, r);
+        EXPECT_EQ(e.cost_seconds, ref_e.cost);
+        EXPECT_EQ(e.rejection_rate, ref_e.reject);
       }
       for (const auto& name : seen) {
-        EXPECT_EQ(snap.estimated_cost_seconds(r, name),
-                  prof.estimated_cost_seconds(r, name));
+        const udf::UdfStats s = ref_stats(ref, r, name);
+        EXPECT_EQ(snap.get(r, name).execs, s.execs);
+        EXPECT_EQ(snap.get(r, name).total_time, s.total_time);
+        EXPECT_EQ(snap.get(r, name).rejects, s.rejects);
       }
     }
   }
 }
 
-TEST(ProfileSnapshot, LaterRecordsDoNotChangeIt) {
+TEST(ProfileTable, LaterPublishesDoNotChangeASnapshot) {
   const std::vector<expr::Conjunct> conj = {
       {Expr::Udf("f", {}), {"f"}},
       {Expr::Udf("g", {}), {"g"}},
@@ -405,7 +441,7 @@ TEST(ProfileSnapshot, LaterRecordsDoNotChangeIt) {
   udf::UdfProfiler prof(8);
   fill_random_profile(&prof, {"f", "g"}, &rng);
 
-  const udf::ProfileSnapshot snap = snapshot_profile(conj, prof);
+  const udf::ProfileTable snap = snapshot_profile(conj, prof);
   std::vector<std::vector<std::size_t>> orders;
   std::vector<double> estimates;
   std::vector<std::uint64_t> execs;
@@ -418,20 +454,18 @@ TEST(ProfileSnapshot, LaterRecordsDoNotChangeIt) {
 
   // Make f far more expensive and g a perfect filter everywhere.
   for (int r = 0; r < prof.num_ranks(); ++r) {
-    for (int i = 0; i < 64; ++i) {
-      prof.record_exec(r, "f", sim::from_seconds(100.0));
-      prof.record_exec(r, "g", sim::from_millis(1));
-      prof.record_reject(r, "g");
-    }
+    publish(prof, r, "f", 64, sim::from_seconds(100.0));
+    publish(prof, r, "g", 64, sim::from_millis(1), 64);
   }
 
+  const udf::ProfileTable now = snapshot_profile(conj, prof);
   for (int r = 0; r < prof.num_ranks(); ++r) {
     const auto ru = static_cast<std::size_t>(r);
     EXPECT_EQ(order_conjuncts(conj, r, snap), orders[ru]);
     EXPECT_EQ(estimate_solution_seconds(conj, orders[ru], r, snap),
               estimates[ru]);
     EXPECT_EQ(snap.get(r, "f").execs, execs[ru]);
-    EXPECT_NE(prof.get(r, "f").execs, execs[ru]);
+    EXPECT_EQ(now.get(r, "f").execs, execs[ru] + 64);
   }
 }
 

@@ -686,6 +686,64 @@ class TelemetryEngineFixture : public ::testing::Test {
         });
   }
 
+  /// What a fixed query sequence leaves in the UDF profile, on a fresh
+  /// engine with a two-node cache and a private registry: full_query()
+  /// twice (the second INVOKE is served from the cache), then a FILTER
+  /// query whose two UDF conjuncts both reject rows. `exposition` holds
+  /// the ids_udf_* non-empty bucket lines, _count lines and rejects
+  /// counters (not _sum: its rounding depends on the order ranks observe
+  /// in); `plan` is explain() of the FILTER query, whose conjunct order,
+  /// est_cost and reject_rate come from the published profile.
+  struct UdfProfileEffects {
+    std::string exposition;
+    std::string plan;
+  };
+
+  UdfProfileEffects udf_profile_effects() {
+    MetricsRegistry reg;
+    cache::CacheConfig cc;
+    cc.num_nodes = 2;
+    cc.metrics = &reg;
+    cache::CacheManager cache(cc);
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = &cache;
+    opts.metrics = &reg;
+    IdsEngine eng(opts, triples_.get(), features_.get());
+    register_udfs(&eng);
+    eng.execute(full_query());
+    eng.execute(full_query());
+
+    Query filter;
+    filter.patterns.push_back(
+        {PatternTerm::Var("x"), term("type"), term("Person")});
+    // score = 2 * age keeps ages 28 and 29; coarse keeps ages >= 22.
+    filter.filters.push_back(
+        Expr::And(Expr::Compare(expr::CmpOp::kGt,
+                                Expr::Udf("score", {Expr::Var("x")}),
+                                Expr::Constant(55.0)),
+                  Expr::Udf("coarse", {Expr::Var("x")})));
+    eng.execute(filter);
+
+    UdfProfileEffects out;
+    const std::string prom = reg.to_prometheus();
+    std::size_t pos = 0;
+    while (pos < prom.size()) {
+      const std::size_t end = prom.find('\n', pos);
+      const std::string line = prom.substr(pos, end - pos);
+      pos = end == std::string::npos ? prom.size() : end + 1;
+      if (line.rfind("ids_udf_", 0) != 0) continue;
+      if (line.find("_sum{") != std::string::npos) continue;
+      if (line.find("_bucket{") != std::string::npos &&
+          line.ends_with("} 0")) {
+        continue;  // empty buckets below the first observation
+      }
+      out.exposition += line + "\n";
+    }
+    out.plan = eng.explain(filter);
+    return out;
+  }
+
   std::unique_ptr<graph::TripleStore> triples_;
   std::unique_ptr<store::FeatureStore> features_;
 };
@@ -943,6 +1001,49 @@ TEST_F(TelemetryEngineFixture, SpanListMatchesGolden) {
   const std::string capped = uncapped.substr(0, end) + "dropped 36\n";
   EXPECT_EQ(run(20), capped);
   EXPECT_EQ(run(20), capped);
+}
+
+constexpr std::string_view kUdfProfileExposition = R"(ids_udf_exec_seconds_bucket{udf="coarse",le="0.0025"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.005"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.01"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.025"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.05"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.1"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.25"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="0.5"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="1"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="2.5"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="5"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="1e+01"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="25"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="5e+01"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="1e+02"} 30
+ids_udf_exec_seconds_bucket{udf="coarse",le="+Inf"} 30
+ids_udf_exec_seconds_count{udf="coarse"} 30
+ids_udf_exec_seconds_bucket{udf="score",le="5"} 16
+ids_udf_exec_seconds_bucket{udf="score",le="1e+01"} 16
+ids_udf_exec_seconds_bucket{udf="score",le="25"} 16
+ids_udf_exec_seconds_bucket{udf="score",le="5e+01"} 16
+ids_udf_exec_seconds_bucket{udf="score",le="1e+02"} 16
+ids_udf_exec_seconds_bucket{udf="score",le="+Inf"} 16
+ids_udf_exec_seconds_count{udf="score"} 16
+ids_udf_rejects_total{udf="coarse"} 6
+ids_udf_rejects_total{udf="score"} 6
+)";
+
+constexpr std::string_view kUdfProfilePlan = R"(plan (1 nodes x 4 ranks):
+  1. scan { ?x type Person } est=10 rows
+  filter chain (rank 0 order, 1 distinct order(s) across ranks):
+    coarse(?x)                                       est_cost=0.002s reject_rate=0.20
+    (score(?x) > 55)                                 est_cost=3s reject_rate=0.38
+)";
+
+TEST_F(TelemetryEngineFixture, UdfProfileExpositionMatchesGolden) {
+  EXPECT_EQ(udf_profile_effects().exposition, kUdfProfileExposition);
+}
+
+TEST_F(TelemetryEngineFixture, ExplainAfterProfileMatchesGolden) {
+  EXPECT_EQ(udf_profile_effects().plan, kUdfProfilePlan);
 }
 
 TEST_F(TelemetryEngineFixture, CappedTracerKeepsEachQuerysOwnTree) {

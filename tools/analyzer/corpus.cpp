@@ -319,8 +319,13 @@ void handle_class(FileData& f, std::size_t i, std::size_t end,
   std::string name;
   if (j < end && tok_ident(f.toks[j])) {
     name = f.toks[j].text;
-    corpus.classes.insert(name);
     ++j;
+    // `struct Outer::Inner {` defines Inner, out of line.
+    while (j + 1 < end && tok_is(f.toks[j], "::") && tok_ident(f.toks[j + 1])) {
+      name = f.toks[j + 1].text;
+      j += 2;
+    }
+    corpus.classes.insert(name);
   }
   std::size_t k = j;
   while (k < end && !tok_is(f.toks[k], "{") && !tok_is(f.toks[k], ";")) {
@@ -332,6 +337,10 @@ void handle_class(FileData& f, std::size_t i, std::size_t end,
     }
   }
   if (k < end && tok_is(f.toks[k], "{") && f.partner[k] != kNone) {
+    if (!name.empty()) {
+      corpus.class_bodies[name].insert(f.path + ":" +
+                                       std::to_string(f.toks[j - 1].line));
+    }
     scan_range(f, k + 1, f.partner[k], name.empty() ? cur_class : name,
                corpus);
     *resume = f.partner[k] + 1;

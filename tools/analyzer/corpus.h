@@ -123,6 +123,10 @@ struct Corpus {
   std::vector<std::unique_ptr<FileData>> files;
   std::vector<FuncDecl> funcs;  // one per declaration/definition, in order
   std::set<std::string> classes;
+  /// Short class name -> "path:line" of every class body defined under
+  /// it. The field table keys classes by short name, so a name defined
+  /// twice merges two classes' fields (the certificate flags it).
+  std::map<std::string, std::set<std::string>> class_bodies;
   std::vector<MemberSpan> member_spans;
   /// Namespace-scope declaration spans (global variables, extern decls):
   /// raw token runs the concurrency layer classifies for the shared-state

@@ -39,6 +39,9 @@
 //                               shared-state certificate rooted at
 //                               IdsEngine::execute (inventory on stdout,
 //                               findings on stderr).
+//   [ambiguous-class]           only under --certify=concurrent-exec: two
+//                               class bodies sharing a short name in the
+//                               certified closure.
 //
 // phase/epoch (rules_phase.cpp, phase.h):
 //   [phase-discipline]          IDS_FROZEN_AFTER(freeze) fields: the
@@ -460,7 +463,7 @@ int run(int argc, char** argv) {
     print_text(std::cerr, a.findings);
     if (cert_violations > 0) {
       std::cerr << "ids-analyzer: certificate FAILED: " << cert_violations
-                << " shared-state violation(s) in " << corpus.files.size()
+                << " violation(s) in " << corpus.files.size()
                 << " file(s)\n";
       return 1;
     }

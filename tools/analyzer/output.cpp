@@ -52,6 +52,10 @@ const std::vector<RuleInfo>& rule_table() {
        "transitively reachable from IdsEngine::execute must be immutable, "
        "guarded, atomic, internally synchronized, or phase-frozen "
        "(IDS_FROZEN_AFTER)."},
+      {"ambiguous-class",
+       "--certify=concurrent-exec: no two classes reachable from "
+       "IdsEngine::execute may share a short name, or the certificate "
+       "merges their fields."},
       {"phase-discipline",
        "An IDS_FROZEN_AFTER(freeze) field's owning class must define the "
        "freeze method, the field must not be mutable (lazy-prepare: "

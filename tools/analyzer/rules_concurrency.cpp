@@ -22,6 +22,10 @@
 //                fields land on the frozen-after-init rung only when the
 //                phase analysis (phase.h) proves their ingest→freeze→serve
 //                discipline; a phase violation is a certificate violation.
+// [ambiguous-class] --certify=concurrent-exec: a class name in that
+//                closure with more than one class body in the corpus. The
+//                inventory keys classes by short name, so the two classes'
+//                fields would merge and one could hide the other's race.
 
 #include <algorithm>
 #include <map>
@@ -205,6 +209,37 @@ std::size_t run_certificate(Analysis& a, std::ostream& os, bool* root_found) {
   std::size_t const_fields = 0;
   std::map<std::string, std::vector<Entry>> classes;  // class -> entries
   std::map<std::string, std::size_t> status_counts;
+
+  // Fields are keyed by short class name: two classes sharing one would
+  // merge into one inventory row, where a guarded field of one can hide an
+  // unguarded field of the same name in the other.
+  for (const std::string& c : closure) {
+    auto bi = corpus.class_bodies.find(c);
+    if (bi == corpus.class_bodies.end() || bi->second.size() < 2) continue;
+    std::string sites;
+    for (const std::string& site : bi->second) {
+      if (!sites.empty()) sites += ", ";
+      sites += site;
+    }
+    Entry e;
+    e.name = "(class)";
+    e.status = "violation";
+    e.detail = "ambiguous-class: defined at " + sites;
+    const std::string& first = *bi->second.begin();
+    e.path = first.substr(0, first.rfind(':'));
+    e.line = std::stoi(first.substr(first.rfind(':') + 1));
+    ++violations;
+    status_counts[e.status] += 1;
+    a.findings.push_back(
+        {"ambiguous-class", e.path, e.line,
+         "class name '" + c + "' is reachable from IdsEngine::execute and "
+         "names " + std::to_string(bi->second.size()) + " classes (" + sites +
+         "); the certificate cannot tell their fields apart, so rename "
+         "all but one",
+         {},
+         false});
+    classes[c].push_back(std::move(e));
+  }
 
   auto record = [&](const std::string& klass, Entry e,
                     const std::string& report_name) {
