@@ -70,15 +70,17 @@ void register_ncnpr_udfs(IdsEngine* engine, const NcnprData& data,
   auto docking_engine = std::make_shared<models::DockingEngine>(
       models::receptor_from_structure(*structure), docking);
   auto dtba_model = std::make_shared<models::DtbaModel>();
+  const int target_self_score = models::self_score(target_seq);
 
   registry.register_dynamic(
       "ncnpr", "sw_similarity",
-      [target_seq, costs](const udf::UdfContext& ctx,
-                          std::span<const Value> args) -> udf::UdfResult {
+      [target_seq, target_self_score, costs](
+          const udf::UdfContext& ctx,
+          std::span<const Value> args) -> udf::UdfResult {
         auto seq = sequence_of(ctx, args.empty() ? Value{} : args[0]);
         if (!seq) return {expr::null_value(), costs.sw_cost(1)};
         models::SwResult r = models::smith_waterman(target_seq, *seq);
-        int sa = models::self_score(target_seq);
+        int sa = target_self_score;
         int sb = models::self_score(*seq);
         double sim = 0.0;
         if (sa > 0 && sb > 0) {

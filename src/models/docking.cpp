@@ -11,47 +11,126 @@
 
 namespace ids::models {
 
-double interaction_energy(const Molecule& receptor, const Molecule& ligand) {
-  double energy = 0.0;
-  for (const auto& ra : receptor.atoms) {
-    LjParams rl = lj_params(ra.element);
-    for (const auto& la : ligand.atoms) {
-      double dx = ra.x - la.x;
-      double dy = ra.y - la.y;
-      double dz = ra.z - la.z;
-      double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 > 64.0) continue;  // 8 A cutoff
-      r2 = std::max(r2, 0.25);  // clamp to avoid singularities
-      double r = std::sqrt(r2);
-
-      LjParams ll = lj_params(la.element);
+DockingEngine::DockingEngine(const Molecule& receptor, DockingParams params)
+    : params_(params) {
+  const std::size_t m = receptor.atoms.size();
+  rx_.reserve(m);
+  ry_.reserve(m);
+  rz_.reserve(m);
+  relement_.reserve(m);
+  rq332_.reserve(m);
+  for (const Atom& a : receptor.atoms) {
+    rx_.push_back(a.x);
+    ry_.push_back(a.y);
+    rz_.push_back(a.z);
+    relement_.push_back(static_cast<std::uint8_t>(a.element));
+    rq332_.push_back(332.0 * a.charge);
+  }
+  auto polar = [](std::size_t e) {
+    return e == static_cast<std::size_t>(Element::N) ||
+           e == static_cast<std::size_t>(Element::O);
+  };
+  constexpr auto kC = static_cast<std::size_t>(Element::C);
+  for (std::size_t re = 0; re < kElements; ++re) {
+    for (std::size_t le = 0; le < kElements; ++le) {
+      LjParams rl = lj_params(static_cast<Element>(re));
+      LjParams ll = lj_params(static_cast<Element>(le));
       double sigma = (rl.radius + ll.radius) * 0.5 * 1.78;
       double eps = std::sqrt(static_cast<double>(rl.well_depth) *
                              static_cast<double>(ll.well_depth));
-      double sr2 = (sigma * sigma) / r2;
+      pairs_[re * kElements + le] = {sigma * sigma, 4.0 * eps,
+                                     polar(re) && polar(le),
+                                     re == kC && le == kC};
+    }
+  }
+}
+
+double DockingEngine::energy(const Molecule& ligand, Scratch* s) const {
+  const std::size_t n = ligand.atoms.size();
+  if (n == 0) return 0.0;
+  s->x.resize(n);
+  s->y.resize(n);
+  s->z.resize(n);
+  s->element.resize(n);
+  s->charge.resize(n);
+  s->r2.resize(n);
+  s->near.resize(n);
+  float lo[3] = {ligand.atoms[0].x, ligand.atoms[0].y, ligand.atoms[0].z};
+  float hi[3] = {lo[0], lo[1], lo[2]};
+  for (std::size_t j = 0; j < n; ++j) {
+    const Atom& a = ligand.atoms[j];
+    s->x[j] = a.x;
+    s->y[j] = a.y;
+    s->z[j] = a.z;
+    s->element[j] = static_cast<std::uint8_t>(a.element);
+    s->charge[j] = a.charge;
+    lo[0] = std::min(lo[0], a.x);
+    lo[1] = std::min(lo[1], a.y);
+    lo[2] = std::min(lo[2], a.z);
+    hi[0] = std::max(hi[0], a.x);
+    hi[1] = std::max(hi[1], a.y);
+    hi[2] = std::max(hi[2], a.z);
+  }
+  constexpr double kPrefilterR2 =
+      (kCutoff + kPrefilterMargin) * (kCutoff + kPrefilterMargin);
+  const float* lx = s->x.data();
+  const float* ly = s->y.data();
+  const float* lz = s->z.data();
+  double* r2 = s->r2.data();
+  std::uint32_t* near = s->near.data();
+
+  // The reference order: receptor atoms outer, ligand atoms inner, and per
+  // in-cutoff pair the same serial updates of `energy` in the same order.
+  double energy = 0.0;
+  for (std::size_t i = 0; i < rx_.size(); ++i) {
+    const float rx = rx_[i], ry = ry_[i], rz = rz_[i];
+    // Every pair of an atom this far from the ligand's box is beyond the
+    // cutoff (see kPrefilterMargin), so it adds nothing.
+    double gx = std::max({0.0, double{lo[0]} - rx, rx - double{hi[0]}});
+    double gy = std::max({0.0, double{lo[1]} - ry, ry - double{hi[1]}});
+    double gz = std::max({0.0, double{lo[2]} - rz, rz - double{hi[2]}});
+    if (gx * gx + gy * gy + gz * gz > kPrefilterR2) continue;
+
+    // Distance pass: keep the ligand atoms within the cutoff, in order.
+    for (std::size_t j = 0; j < n; ++j) {
+      double dx = rx - lx[j];  // float differences, as in the AoS reference
+      double dy = ry - ly[j];
+      double dz = rz - lz[j];
+      r2[j] = dx * dx + dy * dy + dz * dz;
+    }
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      near[count] = static_cast<std::uint32_t>(j);
+      count += !(r2[j] > kCutoff * kCutoff);
+    }
+
+    const ElementPair* row = &pairs_[relement_[i] * kElements];
+    const double q332 = rq332_[i];
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t j = near[k];
+      double r2c = std::max(r2[j], 0.25);  // clamp to avoid singularities
+      double r = std::sqrt(r2c);
+      const ElementPair& p = row[s->element[j]];
+      double sr2 = p.sigma2 / r2c;
       double sr6 = sr2 * sr2 * sr2;
       // 6-12 Lennard-Jones, softened on the repulsive side so clashes are
       // steep but finite (Vina similarly caps steric terms).
-      double lj = 4.0 * eps * (sr6 * sr6 - sr6);
+      double lj = p.eps4 * (sr6 * sr6 - sr6);
       energy += std::min(lj, 10.0);
 
       // Coulomb with distance-dependent dielectric (4r).
-      energy += 332.0 * ra.charge * la.charge / (4.0 * r2);
+      energy += q332 * s->charge[j] / (4.0 * r2c);
 
       // Hydrogen-bond-flavoured term: N/O donor-acceptor pairs in the
       // 2.6-3.4 A window get a bonus.
-      bool ra_polar = ra.element == Element::N || ra.element == Element::O;
-      bool la_polar = la.element == Element::N || la.element == Element::O;
-      if (ra_polar && la_polar && r > 2.4 && r < 3.6) {
-        double center = 3.0;
-        double w = 1.0 - std::abs(r - center) / 0.6;
+      if (p.hb && r > 2.4 && r < 3.6) {
+        double w = 1.0 - std::abs(r - 3.0) / 0.6;
         if (w > 0.0) energy -= 1.6 * w;
       }
 
       // Hydrophobic contact (Vina's "hydrophobic" term): carbon-carbon
       // pairs in van-der-Waals contact contribute a mild attraction.
-      if (ra.element == Element::C && la.element == Element::C && r > 3.2 &&
-          r < 5.0) {
+      if (p.cc && r > 3.2 && r < 5.0) {
         energy -= 0.45 * (1.0 - (r - 3.2) / 1.8);
       }
     }
@@ -59,17 +138,19 @@ double interaction_energy(const Molecule& receptor, const Molecule& ligand) {
   return energy;
 }
 
-DockingEngine::DockingEngine(Molecule receptor, DockingParams params)
-    : receptor_(std::move(receptor)), params_(params) {}
+double interaction_energy(const Molecule& receptor, const Molecule& ligand) {
+  DockingEngine::Scratch scratch;
+  return DockingEngine(receptor).energy(ligand, &scratch);
+}
 
 DockingResult DockingEngine::dock(const Molecule& ligand,
                                   std::uint64_t seed) const {
   DockingResult result;
-  if (ligand.atoms.empty() || receptor_.atoms.empty()) return result;
+  if (ligand.atoms.empty() || rx_.empty()) return result;
 
   const std::uint64_t pair_work =
       static_cast<std::uint64_t>(ligand.atoms.size()) *
-      static_cast<std::uint64_t>(receptor_.atoms.size());
+      static_cast<std::uint64_t>(rx_.size());
 
   // Larger ligands have a larger pose space and need proportionally more
   // Monte Carlo steps to converge (Vina's search effort likewise grows
@@ -81,31 +162,43 @@ DockingResult DockingEngine::dock(const Molecule& ligand,
                        std::max(1.0, static_cast<double>(ligand.atoms.size()) /
                                          10.0));
 
+  // The annealing temperature of each step, shared by every restart.
+  std::vector<double> temps(static_cast<std::size_t>(std::max(steps, 0)));
+  for (int step = 0; step < steps; ++step) {
+    double frac = static_cast<double>(step) / static_cast<double>(steps);
+    temps[static_cast<std::size_t>(step)] =
+        params_.temp_start *
+        std::pow(params_.temp_end / params_.temp_start, frac);
+  }
+
   Rng base_rng(hash_combine(fnv1a64(ligand.name), seed));
 
+  // Poses and scratch live for the whole call, so the loop does not
+  // allocate once they have grown to the ligand's size.
+  Molecule pose;
+  Molecule trial;
+  Scratch scratch;
   std::vector<double> mode_energies;
   for (int run = 0; run < params_.exhaustiveness; ++run) {
     Rng rng = base_rng.fork(static_cast<std::uint64_t>(run));
 
     // Random initial placement inside the box.
-    Molecule pose = ligand;
+    pose = ligand;
     pose.translate(rng.uniform(-params_.box_radius, params_.box_radius),
                    rng.uniform(-params_.box_radius, params_.box_radius),
                    rng.uniform(-params_.box_radius, params_.box_radius));
     pose.rotate(rng.uniform(0.0, 6.2831853), rng.uniform(0.0, 6.2831853),
                 rng.uniform(0.0, 6.2831853));
 
-    double current = interaction_energy(receptor_, pose);
+    double current = energy(pose, &scratch);
     double best = current;
     result.work_units += pair_work;
 
     for (int step = 0; step < steps; ++step) {
       double frac = static_cast<double>(step) / static_cast<double>(steps);
-      double temp = params_.temp_start *
-                    std::pow(params_.temp_end / params_.temp_start, frac);
       double move_scale = 0.3 + 1.2 * (1.0 - frac);  // shrink moves as we cool
 
-      Molecule trial = pose;
+      trial = pose;
       if (rng.bernoulli(0.5)) {
         trial.translate(rng.normal(0.0, move_scale),
                         rng.normal(0.0, move_scale),
@@ -123,12 +216,14 @@ DockingResult DockingEngine::dock(const Molecule& ligand,
         continue;
       }
 
-      double e = interaction_energy(receptor_, trial);
+      double e = energy(trial, &scratch);
       result.work_units += pair_work;
       ++result.iterations;
 
-      if (e < current || rng.bernoulli(std::exp(-(e - current) / temp))) {
-        pose = std::move(trial);
+      if (e < current ||
+          rng.bernoulli(std::exp(-(e - current) /
+                                 temps[static_cast<std::size_t>(step)]))) {
+        std::swap(pose, trial);
         current = e;
         best = std::min(best, e);
       }

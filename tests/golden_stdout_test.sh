@@ -8,8 +8,9 @@
 # Usage: golden_stdout_test.sh <golden_dir> <binary>...
 #
 # An intended model change re-records the goldens from a fresh build,
-#   for b in bench_table1_ingest bench_ablation_cache_tiers \
-#            bench_ablation_rebalance bench_ablation_reorder; do
+#   for b in bench_table1_ingest bench_table2_cache \
+#            bench_ablation_cache_tiers bench_ablation_rebalance \
+#            bench_ablation_reorder; do
 #     build/bench/$b > tests/goldens/$b.txt
 #   done
 #   build/examples/ncnpr_workflow > tests/goldens/ncnpr_workflow.txt

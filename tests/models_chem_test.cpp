@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "datagen/lifesci.h"
@@ -211,6 +216,348 @@ TEST(Docking, InteractionEnergyFarApartIsZero) {
   Molecule b = ligand_from_smiles("CCC", 1);
   b.translate(100, 0, 0);
   EXPECT_DOUBLE_EQ(interaction_energy(a, b), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the docking energy kernel.
+//
+// `naive_energy` is the original all-pairs AoS loop, kept verbatim as the
+// oracle: the kernel's receptor tables, bounding-box prefilter and
+// compressed distance pass must reproduce its result bit for bit, since
+// cached docking results, modeled docking seconds and the benchmark
+// goldens all pin these energies.
+
+double naive_energy(const Molecule& receptor, const Molecule& ligand) {
+  double energy = 0.0;
+  for (const auto& ra : receptor.atoms) {
+    LjParams rl = lj_params(ra.element);
+    for (const auto& la : ligand.atoms) {
+      double dx = ra.x - la.x;
+      double dy = ra.y - la.y;
+      double dz = ra.z - la.z;
+      double r2 = dx * dx + dy * dy + dz * dz;
+      if (r2 > 64.0) continue;  // 8 A cutoff
+      r2 = std::max(r2, 0.25);  // clamp to avoid singularities
+      double r = std::sqrt(r2);
+
+      LjParams ll = lj_params(la.element);
+      double sigma = (rl.radius + ll.radius) * 0.5 * 1.78;
+      double eps = std::sqrt(static_cast<double>(rl.well_depth) *
+                             static_cast<double>(ll.well_depth));
+      double sr2 = (sigma * sigma) / r2;
+      double sr6 = sr2 * sr2 * sr2;
+      // 6-12 Lennard-Jones, softened on the repulsive side so clashes are
+      // steep but finite (Vina similarly caps steric terms).
+      double lj = 4.0 * eps * (sr6 * sr6 - sr6);
+      energy += std::min(lj, 10.0);
+
+      // Coulomb with distance-dependent dielectric (4r).
+      energy += 332.0 * ra.charge * la.charge / (4.0 * r2);
+
+      // Hydrogen-bond-flavoured term: N/O donor-acceptor pairs in the
+      // 2.6-3.4 A window get a bonus.
+      bool ra_polar = ra.element == Element::N || ra.element == Element::O;
+      bool la_polar = la.element == Element::N || la.element == Element::O;
+      if (ra_polar && la_polar && r > 2.4 && r < 3.6) {
+        double center = 3.0;
+        double w = 1.0 - std::abs(r - center) / 0.6;
+        if (w > 0.0) energy -= 1.6 * w;
+      }
+
+      // Hydrophobic contact (Vina's "hydrophobic" term): carbon-carbon
+      // pairs in van-der-Waals contact contribute a mild attraction.
+      if (ra.element == Element::C && la.element == Element::C && r > 3.2 &&
+          r < 5.0) {
+        energy -= 0.45 * (1.0 - (r - 3.2) / 1.8);
+      }
+    }
+  }
+  return energy;
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// Asserts the kernel and the oracle agree bit for bit; returns the energy.
+double expect_same_bits(const Molecule& receptor, const Molecule& ligand) {
+  double want = naive_energy(receptor, ligand);
+  double got = interaction_energy(receptor, ligand);
+  EXPECT_EQ(bits(got), bits(want)) << "kernel " << got << " oracle " << want;
+  return want;
+}
+
+Atom atom_at(Element e, float x, float y, float z) {
+  return Atom{e, x, y, z, typical_charge(e)};
+}
+
+Molecule molecule_of(std::vector<Atom> atoms) {
+  Molecule m;
+  m.name = "constructed";
+  m.atoms = std::move(atoms);
+  return m;
+}
+
+// One receptor atom and one ligand atom at the origin, `r` apart along x.
+double pair_energy(Element re, Element le, float r) {
+  return expect_same_bits(molecule_of({atom_at(re, r, 0.0f, 0.0f)}),
+                          molecule_of({atom_at(le, 0.0f, 0.0f, 0.0f)}));
+}
+
+Molecule pocket_receptor(std::uint64_t seed, std::size_t residues) {
+  Rng rng(seed);
+  std::string seq = datagen::random_protein_sequence(rng, 250);
+  return receptor_from_structure(predict_structure(seq), residues);
+}
+
+void place_randomly(Molecule* m, Rng& rng, double box) {
+  m->translate(rng.uniform(-box, box), rng.uniform(-box, box),
+               rng.uniform(-box, box));
+  m->rotate(rng.uniform(0.0, 6.2831853), rng.uniform(0.0, 6.2831853),
+            rng.uniform(0.0, 6.2831853));
+}
+
+TEST(DockingKernel, RandomPosesAroundThePocketMatchOracle) {
+  const Molecule receptors[] = {pocket_receptor(11, 48),
+                                pocket_receptor(23, 120)};
+  const char* smiles[] = {"CCNC(=O)c1ccc1", "c1ccc(cc1)C(=O)NCCOCCN",
+                          "FC(F)(F)c1ccc(cc1)S(=O)(=O)NP(=O)(O)O",
+                          "CCCCCCCCCCCCCCCCCCCCCCCC"};
+  Rng rng(31);
+  int nonzero = 0;
+  for (const Molecule& rec : receptors) {
+    for (const char* s : smiles) {
+      Molecule lig = ligand_from_smiles(s, 4);
+      for (int i = 0; i < 400; ++i) {
+        Molecule pose = lig;
+        // Mostly inside the docking box, some well outside the cutoff.
+        place_randomly(&pose, rng, i % 4 == 0 ? 24.0 : 10.0);
+        if (expect_same_bits(rec, pose) != 0.0) ++nonzero;
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 1600);  // most of the 3200 poses touch the pocket
+}
+
+// Float offsets whose squared distance, summed in the kernel's order, is
+// exactly `target`: x just below sqrt(target), y takes r^2 to just below
+// the target and a tiny z lands it.
+bool find_offset_with_r2(double target, float* dx, float* dy, float* dz) {
+  float x = static_cast<float>(std::sqrt(target));
+  for (int i = 0; i < 1000; ++i) {
+    x = std::nextafter(x, 0.0f);
+    double rest = target - static_cast<double>(x) * x;
+    float y = static_cast<float>(std::sqrt(rest));
+    for (int k = 0; k < 4; ++k, y = std::nextafter(y, 0.0f)) {
+      double xy = static_cast<double>(x) * x + static_cast<double>(y) * y;
+      if (xy > target) continue;
+      float z = static_cast<float>(std::sqrt(target - xy));
+      for (float c : {std::nextafter(z, 0.0f), z, std::nextafter(z, 1.0f)}) {
+        if (xy + static_cast<double>(c) * c == target) {
+          *dx = x;
+          *dy = y;
+          *dz = c;
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(DockingKernel, CutoffAtR2Of64AndItsNeighbouringDoubles) {
+  // Exactly 64.0: the pair is in (the test is r2 > 64).
+  EXPECT_NE(pair_energy(Element::N, Element::O, 8.0f), 0.0);
+  EXPECT_EQ(pair_energy(Element::N, Element::O, std::nextafter(8.0f, 9.0f)),
+            0.0);
+  EXPECT_NE(pair_energy(Element::N, Element::O, std::nextafter(8.0f, 0.0f)),
+            0.0);
+  for (double target : {std::nextafter(64.0, 0.0), 64.0,
+                        std::nextafter(64.0, 100.0)}) {
+    float dx = 0.0f, dy = 0.0f, dz = 0.0f;
+    ASSERT_TRUE(find_offset_with_r2(target, &dx, &dy, &dz)) << target;
+    Molecule rec = molecule_of({atom_at(Element::N, dx, dy, dz)});
+    Molecule lig = molecule_of({atom_at(Element::O, 0.0f, 0.0f, 0.0f)});
+    double e = expect_same_bits(rec, lig);
+    if (target > 64.0) {
+      EXPECT_EQ(e, 0.0);
+    } else {
+      EXPECT_NE(e, 0.0);
+    }
+  }
+}
+
+TEST(DockingKernel, WindowEdgesAndClampMatchOracle) {
+  // r^2 = 0.25 is the clamp; 2.4/3.0/3.6 bound and centre the HB window;
+  // 3.2/5.0 bound the hydrophobic window.
+  for (float edge : {0.1f, 0.5f, 2.4f, 3.0f, 3.6f, 3.2f, 5.0f}) {
+    float r = edge;
+    for (int k = 0; k < 4; ++k) r = std::nextafter(r, 0.0f);
+    for (int k = 0; k < 9; ++k, r = std::nextafter(r, 9.0f)) {
+      pair_energy(Element::N, Element::O, r);
+      pair_energy(Element::O, Element::N, r);
+      pair_energy(Element::C, Element::C, r);
+      pair_energy(Element::C, Element::N, r);
+    }
+  }
+  // No float distance is exactly 2.4, 3.6 or 3.2, but a pair whose r^2
+  // rounds onto edge^2 has r == edge exactly.
+  for (double edge : {2.4, 3.0, 3.6, 3.2}) {
+    float dx = 0.0f, dy = 0.0f, dz = 0.0f;
+    ASSERT_TRUE(find_offset_with_r2(edge * edge, &dx, &dy, &dz)) << edge;
+    ASSERT_EQ(std::sqrt(edge * edge), edge);
+    for (Element e : {Element::N, Element::C}) {
+      expect_same_bits(molecule_of({atom_at(e, dx, dy, dz)}),
+                       molecule_of({atom_at(e == Element::N ? Element::O : e,
+                                            0.0f, 0.0f, 0.0f)}));
+    }
+  }
+}
+
+TEST(DockingKernel, EveryElementPairMatchesOracle) {
+  constexpr int kN = static_cast<int>(Element::kCount);
+  for (int re = 0; re < kN; ++re) {
+    for (int le = 0; le < kN; ++le) {
+      for (float r : {0.3f, 1.1f, 2.0f, 2.9f, 3.3f, 4.1f, 6.0f, 7.9f}) {
+        pair_energy(static_cast<Element>(re), static_cast<Element>(le), r);
+      }
+    }
+  }
+  // All elements on both sides at once.
+  std::vector<Atom> ra, la;
+  for (int e = 0; e < kN; ++e) {
+    ra.push_back(atom_at(static_cast<Element>(e), 1.3f * e, 0.7f, -0.4f));
+    la.push_back(atom_at(static_cast<Element>(e), 0.4f, 1.1f * e, 0.9f));
+  }
+  EXPECT_NE(expect_same_bits(molecule_of(ra), molecule_of(la)), 0.0);
+}
+
+TEST(DockingKernel, ReceptorAtomsAroundThePrefilterMarginMatchOracle) {
+  // A ligand with an atom on every corner of the box [-1, 2] x
+  // [-0.5, 0.5] x [0, 1.5], plus one inside.
+  std::vector<Atom> corners = {atom_at(Element::N, 0.5f, 0.1f, 0.7f)};
+  for (int c = 0; c < 8; ++c) {
+    corners.push_back(atom_at(c % 2 ? Element::O : Element::C,
+                              c & 1 ? 2.0f : -1.0f, c & 2 ? 0.5f : -0.5f,
+                              c & 4 ? 1.5f : 0.0f));
+  }
+  Molecule lig = molecule_of(corners);
+  // Receptor atoms off a face and off a corner of the box, at box
+  // distances straddling the cutoff (8) and the cutoff plus the margin.
+  const double distances[] = {kCutoff - 1e-3, kCutoff - 1e-6, kCutoff,
+                              kCutoff + 1e-6, kCutoff + 0.5 * kPrefilterMargin,
+                              kCutoff + kPrefilterMargin - 1e-6,
+                              kCutoff + kPrefilterMargin + 1e-6};
+  int inside = 0;
+  for (double d : distances) {
+    for (const auto& a :
+         {atom_at(Element::N, static_cast<float>(2.0 + d), 0.5f, 1.5f),
+          atom_at(Element::N, static_cast<float>(2.0 + d / std::sqrt(3.0)),
+                  static_cast<float>(0.5 + d / std::sqrt(3.0)),
+                  static_cast<float>(1.5 + d / std::sqrt(3.0)))}) {
+      if (expect_same_bits(molecule_of({a}), lig) != 0.0) ++inside;
+    }
+  }
+  EXPECT_GT(inside, 0);
+
+  // A shell of single receptor atoms within +-0.05 A of the cutoff around
+  // the box: an atom the prefilter dropped while the oracle kept it would
+  // read 0 here.
+  Rng rng(41);
+  inside = 0;
+  for (int i = 0; i < 3000; ++i) {
+    double ux = rng.normal(), uy = rng.normal(), uz = rng.normal();
+    double norm = std::sqrt(ux * ux + uy * uy + uz * uz);
+    double d = kCutoff + rng.uniform(-0.05, 0.05);
+    // Offset from the corner atom on the direction's side of the box.
+    double bx = ux < 0 ? -1.0 : 2.0, by = uy < 0 ? -0.5 : 0.5,
+           bz = uz < 0 ? 0.0 : 1.5;
+    Atom a = atom_at(Element::O, static_cast<float>(bx + d * ux / norm),
+                     static_cast<float>(by + d * uy / norm),
+                     static_cast<float>(bz + d * uz / norm));
+    if (expect_same_bits(molecule_of({a}), lig) != 0.0) ++inside;
+  }
+  EXPECT_GT(inside, 100);
+}
+
+TEST(DockingKernel, EmptyMoleculesMatchOracle) {
+  Molecule rec = pocket_receptor(11, 48);
+  Molecule lig = ligand_from_smiles("CCNCCO", 0);
+  Molecule empty = molecule_of({});
+  EXPECT_EQ(bits(expect_same_bits(rec, empty)), bits(0.0));
+  EXPECT_EQ(bits(expect_same_bits(empty, lig)), bits(0.0));
+  EXPECT_EQ(bits(expect_same_bits(empty, empty)), bits(0.0));
+}
+
+TEST(DockingKernel, LargeLigandMatchesOracle) {
+  // 640 atoms: far beyond any ligand the generator emits, so no fixed-size
+  // scratch buffer can hide behind typical sizes.
+  std::string smiles;
+  for (int i = 0; i < 160; ++i) smiles += "CNOS";
+  Molecule lig = ligand_from_smiles(smiles, 3);
+  ASSERT_EQ(lig.atoms.size(), 640u);
+  Molecule rec = pocket_receptor(23, 120);
+  Rng rng(43);
+  for (int i = 0; i < 20; ++i) {
+    Molecule pose = lig;
+    place_randomly(&pose, rng, 6.0);
+    expect_same_bits(rec, pose);
+  }
+}
+
+// serialize(dock_smiles(s, seed)) recorded from the original all-pairs
+// implementation: any drift in an energy, a mode, the work units or the
+// step count fails here.
+TEST(DockingKernel, DockingResultsMatchRecordedGoldens) {
+  struct Golden {
+    const char* smiles;
+    std::uint64_t seed;
+    std::size_t atoms;
+    const char* result;
+  };
+  const Golden goldens[] = {
+      {"CCCC", 0, 4,
+       "-3.9342461134817293;-3.9342461134817293,-3.8052570664410013,"
+       "-3.7754569191365333,-2.7710516149529738,-2.6785169849219312,"
+       "-2.005330917223731,-1.579337823721888,0;235776;1220"},
+      {"CCNC(=O)c1ccc1", 3, 9,
+       "-2.5515956699251561;-2.5515956699251561,-1.8720291141459724,"
+       "-1.7244542926552799,-1.3465991003658273,-1.1748666308722491,"
+       "-0.85600512047962773,-0.15055237671557603,-0.10198299551709375;"
+       "534384;1229"},
+      {"CCCNCCOC1CCCC1", 0, 12,
+       "-4.0507725011466951;-4.0507725011466951,-3.4859320472156621,"
+       "-3.3769262267495561,-2.5573145021605383,-1.6998682576135824,"
+       "-1.2829475305062548,-1.1329873046797954,-0.60854781316154272;"
+       "855936;1478"},
+      {"c1ccc(cc1)C(=O)NCCOCCN", 1, 15,
+       "-3.3912801888481807;-3.3912801888481807,-3.3461996553090514,"
+       "-3.3115047287973574,-2.611990257750572,-1.424355070848994,"
+       "-0.65710475757991726,-0.37161323781973493,-0.12115713622335672;"
+       "1328400;1837"},
+      {"FC(F)(F)c1ccc(cc1)S(=O)(=O)NP(=O)(O)O", 5, 18,
+       "-4.1118338733017614;-4.1118338733017614,-3.0427534238247653,"
+       "-2.5058565265142199,-1.7227820949066059,-1.1743095829597345,"
+       "-0.94631963668401697,-0.25312909894061408,-0.22603254691033289;"
+       "1904256;2196"},
+      {"CCN(CC)CCOC(=O)c1ccc(cc1)NC(=O)CCSCCOCCNC(=O)c2ccc(cc2)"
+       "OCCOCCN(C)CCc3ccc(F)cc3OCCSCCNCCO",
+       2, 63,
+       "-10.303240580766154;-10.303240580766154,-9.5909003328696176,"
+       "-7.3397922996455165,-6.437233075923201,-6.195826513211375,"
+       "-6.1862894011807859,-5.6006591832331685,-4.7790567385634555;"
+       "22888656;7561"},
+  };
+  Rng rng(7);
+  std::string seq = datagen::random_protein_sequence(rng, 200);
+  DockingEngine eng(receptor_from_structure(predict_structure(seq)));
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(ligand_from_smiles(g.smiles).atoms.size(), g.atoms);
+    EXPECT_EQ(serialize(eng.dock_smiles(g.smiles, g.seed)), g.result)
+        << g.smiles;
+  }
 }
 
 TEST(Dtba, DeterministicPretrainedWeights) {
