@@ -31,6 +31,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/simd.h"
 #include "core/workflow.h"
@@ -112,15 +113,16 @@ int main(int argc, char** argv) {
   cc.dram_capacity_bytes = 64ull << 20;
   cache::CacheManager cache(cc);
 
-  telemetry::Tracer tracer;
-  telemetry::QueryLog query_log;
+  // The log records span trees only when asked to: the obs server's
+  // /tracez needs them, so --serve-obs implies tracing even without a
+  // --trace output file.
+  constexpr std::size_t kMaxSpans = 1u << 16;
+  const bool traced = trace_path != nullptr || obs_port >= 0;
+  telemetry::QueryLog query_log(/*capacity=*/8, traced ? kMaxSpans : 0);
 
   core::EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
   opts.cache = &cache;
-  // The obs server's /tracez needs span trees, so --serve-obs implies
-  // tracing even without a --trace output file.
-  if (trace_path != nullptr || obs_port >= 0) opts.tracer = &tracer;
   opts.query_log = &query_log;
 
   telemetry::ObsServerOptions obs_opts;
@@ -190,9 +192,15 @@ int main(int argc, char** argv) {
   std::printf("cache state: %s\n", cache.stats().to_string().c_str());
 
   if (trace_path != nullptr) {
-    dump_to(trace_path, tracer.to_chrome_json());
-    std::printf("trace: %zu spans -> %s (open in Perfetto)\n", tracer.size(),
-                trace_path);
+    // Both executions, one after the other, in one file.
+    telemetry::SpanTree trace;
+    for (telemetry::QueryRecord& rec : query_log.snapshot()) {
+      trace.append(std::move(rec.trace.spans), telemetry::kNoSpan, kMaxSpans);
+      trace.dropped += rec.trace.dropped;
+    }
+    dump_to(trace_path, trace.to_chrome_json());
+    std::printf("trace: %zu spans -> %s (open in Perfetto)\n",
+                trace.spans.size(), trace_path);
   }
   if (metrics_path != nullptr) {
     dump_to(metrics_path, telemetry::MetricsRegistry::global().to_prometheus());

@@ -37,12 +37,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_task(Task task) {
-  const std::uint64_t start = telemetry::Tracer::wall_now_ns();
+  const std::uint64_t start = telemetry::wall_now_ns();
   task_wait_seconds_->observe(
       static_cast<double>(start - task.enqueued_ns) / 1e9);
   task.fn();
   task_run_seconds_->observe(
-      static_cast<double>(telemetry::Tracer::wall_now_ns() - start) / 1e9);
+      static_cast<double>(telemetry::wall_now_ns() - start) / 1e9);
   tasks_total_->inc();
 }
 
@@ -90,7 +90,7 @@ void ThreadPool::parallel_for(std::size_t n,
     remaining.count_down();
   };
 
-  const std::uint64_t enqueued = telemetry::Tracer::wall_now_ns();
+  const std::uint64_t enqueued = telemetry::wall_now_ns();
   {
     MutexLock lock(mutex_);
     for (std::size_t i = 0; i < helpers; ++i) {

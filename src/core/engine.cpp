@@ -119,14 +119,14 @@ class QueryExecution {
         vectors_(vectors),
         registry_(registry),
         profiler_(profiler),
-        tracer_(opts.tracer),
-        trace_cap_(tracer_ != nullptr ? tracer_->max_spans() : 0),
+        trace_cap_(opts.query_log != nullptr ? opts.query_log->max_spans()
+                                             : 0),
         metrics_(opts.metrics != nullptr
                      ? opts.metrics
                      : &telemetry::MetricsRegistry::global()),
         p_(opts.topology.num_ranks()),
         clocks_(static_cast<std::size_t>(p_)),
-        rank_spans_(tracer_ != nullptr ? static_cast<std::size_t>(p_) : 0) {
+        rank_spans_(traced() ? static_cast<std::size_t>(p_) : 0) {
     Rng seeder(opts.seed);
     rank_rngs_.reserve(static_cast<std::size_t>(p_));
     for (int r = 0; r < p_; ++r) {
@@ -137,10 +137,10 @@ class QueryExecution {
   QueryResult run(const Query& query) {
     telemetry::ProfileScope profile_scope("engine.query");
     metrics_->counter("ids_engine_queries_total")->inc();
-    query_wall_start_ = telemetry::Tracer::wall_now_ns();
+    query_wall_start_ = telemetry::wall_now_ns();
     stage_wall_start_ = query_wall_start_;
     udfs_ = udf::QueryUdfs(*registry_, query_udf_names(query), p_, metrics_);
-    if (tracer_ != nullptr) {
+    if (traced()) {
       root_span_ = open_span("query", "query", telemetry::kNoSpan);
       // Stamp the active SIMD dispatch level so every trace records which
       // kernel variants produced it (simd.cpp exports the matching gauge).
@@ -168,10 +168,10 @@ class QueryExecution {
 
     gather_and_finish(query);
     // One end stamp for the account's query wall time and the root span.
-    const std::uint64_t wall_end = telemetry::Tracer::wall_now_ns();
+    const std::uint64_t wall_end = telemetry::wall_now_ns();
     finish_account(wall_end);
     publish_udf_tally();
-    if (tracer_ != nullptr) {
+    if (traced()) {
       span_attr(root_span_, "rows",
                 static_cast<std::uint64_t>(result_.solutions.num_rows()));
       span_attr(root_span_, "cache_hits",
@@ -187,9 +187,7 @@ class QueryExecution {
       span_attr(root_span_, "divergence_seconds",
                 result_.account.divergence_seconds());
       end_span(root_span_, last_mark_, wall_end);
-      // The query's one call into the shared tracer: a copy of its tree,
-      // which the log record below keeps.
-      tracer_->append(trace_);
+      metrics_->counter("ids_trace_dropped_spans_total")->inc(trace_.dropped);
     }
     if (opts_.query_log != nullptr) {
       result_.account.sequence =
@@ -202,7 +200,10 @@ class QueryExecution {
   // ---- Instrumentation seam ------------------------------------------------
   // Every span, stage metric and account entry of a query is written by
   // the two scopes below; operators only open them. Spans go to the
-  // query's own tree (trace_), which run() hands to the tracer once.
+  // query's own tree (trace_), which run() moves into the log record.
+
+  /// Spans are recorded only for a log that keeps them.
+  bool traced() const { return trace_cap_ > 0; }
 
   /// Opens a span on the engine's barrier timeline at the current modeled
   /// mark and the stage's wall stamp.
@@ -246,7 +247,7 @@ class QueryExecution {
    public:
     Stage(QueryExecution& q, std::string name)
         : q_(q), name_(std::move(name)) {
-      if (q_.tracer_ != nullptr) {
+      if (q_.traced()) {
         q_.stage_span_ = q_.open_span(name_, "stage", q_.root_span_);
       }
     }
@@ -255,7 +256,7 @@ class QueryExecution {
 
     ~Stage() {
       const sim::Nanos now = q_.clocks_.barrier();
-      const std::uint64_t wall_now = telemetry::Tracer::wall_now_ns();
+      const std::uint64_t wall_now = telemetry::wall_now_ns();
       const double seconds = sim::to_seconds(now - q_.last_mark_);
       q_.result_.account.stages.push_back(
           {name_, seconds,
@@ -312,7 +313,7 @@ class QueryExecution {
       if (span_ == telemetry::kNoSpan) return;
       telemetry::Span& s = span();
       s.virt_end = clock().now();
-      s.wall_end_ns = telemetry::Tracer::wall_now_ns();
+      s.wall_end_ns = telemetry::wall_now_ns();
     }
 
     void attr(std::string_view key, std::uint64_t value) {
@@ -329,10 +330,10 @@ class QueryExecution {
     RankOp(QueryExecution& q, std::string_view name,
            std::string_view category, telemetry::SpanId parent, int r)
         : q_(q), r_(r) {
-      if (q_.tracer_ == nullptr) return;
+      if (!q_.traced()) return;
       auto& spans = q_.rank_spans_[static_cast<std::size_t>(r_)];
       const sim::Nanos now = clock().now();
-      const std::uint64_t wall = telemetry::Tracer::wall_now_ns();
+      const std::uint64_t wall = telemetry::wall_now_ns();
       span_ = static_cast<telemetry::SpanId>(spans.size() + 1);
       spans.push_back({std::string(name), std::string(category), span_,
                        parent, r, now, now, wall, wall, {}});
@@ -1317,8 +1318,7 @@ class QueryExecution {
   store::VectorStore* vectors_;
   udf::UdfRegistry* registry_;
   udf::UdfProfiler* profiler_;
-  telemetry::Tracer* tracer_;        // nullptr = tracing off
-  const std::size_t trace_cap_;      // tracer_->max_spans(), 0 untraced
+  const std::size_t trace_cap_;  // the log's max_spans; 0 = tracing off
   telemetry::MetricsRegistry* metrics_;
   telemetry::SpanId root_span_ = telemetry::kNoSpan;
   telemetry::SpanId stage_span_ = telemetry::kNoSpan;

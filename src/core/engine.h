@@ -30,7 +30,6 @@
 #include "store/vector_store.h"
 #include "telemetry/metrics.h"
 #include "telemetry/query_log.h"
-#include "telemetry/trace.h"
 #include "udf/profiler.h"
 #include "udf/registry.h"
 
@@ -61,11 +60,6 @@ struct EngineOptions {
   std::unordered_map<std::string, double> udf_call_multiplier;  // lint:allow-unordered
   /// Optional global distributed cache for INVOKE clauses.
   cache::CacheManager* cache = nullptr;
-  /// Trace sink: when set, every execute() records a span tree into it —
-  /// query → stage → per-rank operator → per-call (UDF exec, cache
-  /// get/put) — with modeled and wall time on every span. nullptr = no
-  /// tracing (and no tracing overhead on the hot path).
-  telemetry::Tracer* tracer = nullptr;
   /// Metrics sink for engine instruments (ids_engine_queries_total,
   /// ids_engine_stage_seconds, ids_engine_rebalance_total) and the
   /// queries' ids_udf_exec_seconds / ids_udf_rejects_total. nullptr = the
@@ -73,8 +67,12 @@ struct EngineOptions {
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Finished-query log (see src/telemetry/query_log.h): when set, every
   /// execute() pushes one record — its resource account, plus its span
-  /// tree when `tracer` is also set — feeding the obs server's /statusz
-  /// and /tracez. The log assigns `QueryResult::account.sequence`.
+  /// tree when the log's max_spans is positive — feeding the obs server's
+  /// /statusz and /tracez. The log assigns `QueryResult::account.sequence`.
+  /// The span tree runs query → stage → per-rank operator → per-call (UDF
+  /// exec, cache get/put), with modeled and wall time on every span. No
+  /// log, or a log with max_spans 0 = no tracing (and no tracing overhead
+  /// on the hot path).
   telemetry::QueryLog* query_log = nullptr;
   std::uint64_t seed = 0x1D5;
 };

@@ -44,7 +44,7 @@ SourceStats generate_source(graph::TripleStore* store, const SourceSpec& spec,
   // Host-side ingest duration (Table 1), read through the telemetry
   // layer's single wall-clock chokepoint — never a raw clock in
   // modeled code (see DESIGN.md §8, [wallclock-in-engine]).
-  const std::uint64_t t0 = telemetry::Tracer::wall_now_ns();
+  const std::uint64_t t0 = telemetry::wall_now_ns();
   std::string subject, object;
   // Entities are reused ~8x so the graph has realistic fan-out.
   const std::uint64_t n_entities = std::max<std::uint64_t>(1, n / 8);
@@ -65,7 +65,7 @@ SourceStats generate_source(graph::TripleStore* store, const SourceSpec& spec,
     ++stats.triples_generated;
   }
   stats.ingest_seconds =
-      static_cast<double>(telemetry::Tracer::wall_now_ns() - t0) / 1e9;
+      static_cast<double>(telemetry::wall_now_ns() - t0) / 1e9;
   return stats;
 }
 

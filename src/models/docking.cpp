@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -13,6 +14,12 @@ namespace ids::models {
 
 DockingEngine::DockingEngine(const Molecule& receptor, DockingParams params)
     : params_(params) {
+  // dock() reports mode_energies.front(), so both must yield a mode.
+  IDS_CHECK(params_.exhaustiveness > 0)
+      << "docking exhaustiveness must be positive, got "
+      << params_.exhaustiveness;
+  IDS_CHECK(params_.num_modes > 0)
+      << "docking num_modes must be positive, got " << params_.num_modes;
   const std::size_t m = receptor.atoms.size();
   rx_.reserve(m);
   ry_.reserve(m);

@@ -6,7 +6,8 @@
 
 namespace ids::runtime {
 
-void for_each_rank(int num_ranks, const std::function<void(int)>& fn) {
+void for_each_rank(int num_ranks, const char* scope,
+                   const std::function<void(int)>& fn) {
   // Resolved on first use so the registry exists; pointers into the
   // (leaked) global registry stay valid for the process lifetime.
   static telemetry::Counter* const steps =
@@ -18,16 +19,10 @@ void for_each_rank(int num_ranks, const std::function<void(int)>& fn) {
   steps->inc();
   invocations->inc(static_cast<std::uint64_t>(num_ranks));
   ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(num_ranks),
-      [&fn](std::size_t i) { fn(static_cast<int>(i)); });
-}
-
-void for_each_rank(int num_ranks, const char* scope,
-                   const std::function<void(int)>& fn) {
-  for_each_rank(num_ranks, [scope, &fn](int r) {
-    telemetry::ProfileScope profile(scope);
-    fn(r);
-  });
+      static_cast<std::size_t>(num_ranks), [scope, &fn](std::size_t i) {
+        telemetry::ProfileScope profile(scope);
+        fn(static_cast<int>(i));
+      });
 }
 
 }  // namespace ids::runtime

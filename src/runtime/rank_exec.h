@@ -17,13 +17,11 @@ namespace ids::runtime {
 
 /// Runs fn(rank) for every rank in [0, num_ranks), in parallel over the
 /// global thread pool. fn must only touch rank-local state (plus read-only
-/// shared state), mirroring the isolation of MPI ranks.
-void for_each_rank(int num_ranks, const std::function<void(int)>& fn);
-
-/// Same, but wraps every rank invocation in a telemetry::ProfileScope
-/// named `scope` so the sampling profiler attributes worker-thread time
-/// to the operator that scheduled it. `scope` must be a string literal
-/// (or otherwise outlive the process-global profiler).
+/// shared state), mirroring the isolation of MPI ranks. Every rank
+/// invocation runs inside a telemetry::ProfileScope named `scope`, so the
+/// sampling profiler attributes worker-thread time to the operator that
+/// scheduled it. `scope` must be a string literal (or otherwise outlive
+/// the process-global profiler).
 void for_each_rank(int num_ranks, const char* scope,
                    const std::function<void(int)>& fn);
 

@@ -95,7 +95,7 @@ Status ObsServer::start() {
   }
 
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
-  start_wall_ns_.store(Tracer::wall_now_ns(), std::memory_order_release);
+  start_wall_ns_.store(wall_now_ns(), std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
   listen_fd_.store(fd, std::memory_order_release);
   server_ = std::thread([this] { serve_loop(); });
@@ -223,7 +223,7 @@ ObsServer::Response ObsServer::handle_metrics() const {
 
 ObsServer::Response ObsServer::handle_statusz() const {
   const double uptime =
-      static_cast<double>(Tracer::wall_now_ns() -
+      static_cast<double>(wall_now_ns() -
                           start_wall_ns_.load(std::memory_order_acquire)) *
       1e-9;
   std::ostringstream os;

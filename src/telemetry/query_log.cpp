@@ -38,7 +38,8 @@ std::string QueryResourceAccount::to_json() const {
   return os.str();
 }
 
-QueryLog::QueryLog(std::size_t capacity) : capacity_(capacity) {
+QueryLog::QueryLog(std::size_t capacity, std::size_t max_spans)
+    : capacity_(capacity), max_spans_(max_spans) {
   IDS_CHECK(capacity_ > 0) << "QueryLog capacity must be positive";
 }
 
@@ -96,7 +97,7 @@ std::string QueryLog::traces_text() const {
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     os << "\n=== trace #" << it->account.sequence << " ===\n";
     if (it->trace.spans.empty() && it->trace.dropped == 0) {
-      os << "untraced (the engine had no tracer)\n";
+      os << "untraced (tracing off)\n";
     } else {
       os << it->trace.to_text_report();
     }
@@ -105,9 +106,14 @@ std::string QueryLog::traces_text() const {
 }
 
 std::string QueryLog::newest_trace_json() const {
-  MutexLock lock(mutex_);
-  if (entries_.empty()) return SpanTree{}.to_chrome_json();
-  return entries_.back().trace.to_chrome_json();
+  // Copy the tree under the lock and render it after, so a scrape of a
+  // large trace never holds up an engine's push.
+  SpanTree newest;
+  {
+    MutexLock lock(mutex_);
+    if (!entries_.empty()) newest = entries_.back().trace;
+  }
+  return newest.to_chrome_json();
 }
 
 }  // namespace ids::telemetry

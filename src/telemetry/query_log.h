@@ -75,20 +75,23 @@ struct QueryResourceAccount {
 /// `sequence` is the record's number, on /statusz and /tracez alike.
 struct QueryRecord {
   QueryResourceAccount account;
-  /// The query's own span tree (ids 1..n, at most the tracer's max_spans,
-  /// and the spans that cap dropped); empty when the engine had no tracer.
+  /// The query's own span tree (ids 1..n, at most the log's max_spans,
+  /// and the spans that cap dropped); empty when tracing was off.
   SpanTree trace;
 };
 
-/// Bounded log of the most recent finished queries. The engine pushes one
-/// record per execute(); the oldest falls out once `capacity` is reached,
-/// so the log holds at most capacity x max_spans spans.
+/// Bounded log of the most recent finished queries, and the only sink of
+/// their span trees. The engine pushes one record per execute(); the
+/// oldest falls out once `capacity` is reached, so the log holds at most
+/// capacity x max_spans spans. An engine traces its queries only when its
+/// log's `max_spans` is positive, and caps each tree there; 0 keeps only
+/// the accounts.
 /// /statusz renders the accounts and /tracez the span trees of the same
 /// records, so "trace #N" is the query whose account has sequence N.
 /// Thread-safe: queries push while HTTP scrapes snapshot.
 class QueryLog {
  public:
-  explicit QueryLog(std::size_t capacity = 8);
+  explicit QueryLog(std::size_t capacity = 8, std::size_t max_spans = 0);
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
 
@@ -98,6 +101,9 @@ class QueryLog {
 
   /// Retained records, oldest first.
   std::vector<QueryRecord> snapshot() const IDS_EXCLUDES(mutex_);
+  /// The span cap of each record's tree; 0 = queries are not traced.
+  std::size_t max_spans() const { return max_spans_; }
+
   /// Records ever pushed (>= retained count).
   std::uint64_t total_pushed() const IDS_EXCLUDES(mutex_);
 
@@ -112,6 +118,7 @@ class QueryLog {
 
  private:
   const std::size_t capacity_;
+  const std::size_t max_spans_;
   mutable Mutex mutex_;
   std::vector<QueryRecord> entries_ IDS_GUARDED_BY(mutex_);  // oldest first
   std::uint64_t total_pushed_ IDS_GUARDED_BY(mutex_) = 0;

@@ -25,6 +25,13 @@ std::string micros_str(sim::Nanos ns) {
 
 }  // namespace
 
+std::uint64_t wall_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 SpanId SpanTree::append(std::vector<Span> batch, SpanId parent,
                         std::size_t cap) {
   const auto base = static_cast<SpanId>(spans.size());
@@ -152,55 +159,6 @@ std::string SpanTree::to_text_report() const {
     os << line;
   }
   return os.str();
-}
-
-Tracer::Tracer(std::size_t max_spans, MetricsRegistry* metrics)
-    : max_spans_(max_spans),
-      dropped_counter_((metrics != nullptr ? *metrics
-                                           : MetricsRegistry::global())
-                           .counter("ids_trace_dropped_spans_total")) {}
-
-std::uint64_t Tracer::wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void Tracer::append(SpanTree tree) {
-  MutexLock lock(mutex_);
-  const std::uint64_t before = tree_.dropped;
-  tree_.append(std::move(tree.spans), kNoSpan, max_spans_);
-  tree_.dropped += tree.dropped;
-  dropped_counter_->inc(tree_.dropped - before);
-}
-
-std::size_t Tracer::size() const {
-  MutexLock lock(mutex_);
-  return tree_.spans.size();
-}
-
-std::uint64_t Tracer::dropped() const {
-  MutexLock lock(mutex_);
-  return tree_.dropped;
-}
-
-SpanTree Tracer::snapshot() const {
-  MutexLock lock(mutex_);
-  return tree_;
-}
-
-void Tracer::clear() {
-  MutexLock lock(mutex_);
-  tree_ = SpanTree{};
-}
-
-std::string Tracer::to_chrome_json() const {
-  return snapshot().to_chrome_json();
-}
-
-std::string Tracer::to_text_report() const {
-  return snapshot().to_text_report();
 }
 
 }  // namespace ids::telemetry

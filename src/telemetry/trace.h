@@ -15,7 +15,7 @@
 // Timelines map to Chrome trace "threads": tid 0 is the engine's barrier
 // timeline (query + stage spans), tid r+1 is rank r's virtual clock.
 //
-// Exporters (SpanTree, and the Tracer's whole contents):
+// Exporters (SpanTree):
 //   to_chrome_json()  — Chrome trace_event JSON ("X" complete events,
 //                       ts/dur in microseconds of modeled time), loadable
 //                       in chrome://tracing and Perfetto. args carry the
@@ -25,25 +25,24 @@
 //                       built on common/stats.h RunningStats.
 //
 // Recording: a query writes its spans only to its own SpanTree, without a
-// lock, and hands the finished tree to the Tracer once (Tracer::append).
-// The Tracer is an append-only sink that may be shared by many queries and
-// engines; every public method locks its mutex. Recording is bounded by
-// `max_spans`, per query tree and per tracer: past the cap new spans are
-// dropped (counted, reported in both exports) rather than growing without
-// bound on million-row queries.
+// lock, and moves the finished tree into its QueryLog record
+// (telemetry/query_log.h), the one place a finished query's spans go.
+// Recording is bounded by the log's `max_spans`: past the cap new spans
+// are dropped (counted, reported in both exports) rather than growing
+// without bound on million-row queries.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "sim/time.h"
 
 namespace ids::telemetry {
 
-class Counter;          // metrics.h
-class MetricsRegistry;  // metrics.h
+/// Host wall clock in nanoseconds (steady), the clock of every span's wall
+/// range and the one wall-clock read the engine layers may make.
+std::uint64_t wall_now_ns();
 
 /// 1-based span handle; 0 means "no span" (parentless, or tracing off).
 using SpanId = std::uint32_t;
@@ -66,8 +65,8 @@ struct Span {
 
 /// A span list in recording order: a span's id is its 1-based position
 /// and its parent comes before it (kNoSpan for a root). Plain data with no
-/// lock. A query records into its own tree, the Tracer keeps one under its
-/// mutex, and a QueryRecord holds the finished query's.
+/// lock. A query records into its own tree, and a QueryRecord holds the
+/// finished query's.
 struct SpanTree {
   std::vector<Span> spans;
   std::uint64_t dropped = 0;  // spans the cap rejected, each counted once
@@ -87,49 +86,6 @@ struct SpanTree {
   std::string to_chrome_json() const;
   /// EXPLAIN ANALYZE-style indented tree plus a per-category summary.
   std::string to_text_report() const;
-};
-
-/// Append-only sink of finished span trees, shared across queries.
-class Tracer {
- public:
-  /// `metrics` receives the ids_trace_dropped_spans_total counter (spans
-  /// rejected by the max_spans cap); nullptr = the process-global
-  /// registry. Resolved once here, so counting drops is one lock-free
-  /// increment.
-  explicit Tracer(std::size_t max_spans = 1u << 16,
-                  MetricsRegistry* metrics = nullptr);
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// Host wall clock in nanoseconds (steady), the clock of every span's
-  /// wall range.
-  static std::uint64_t wall_now_ns();
-
-  /// The span cap, of this tracer and of each tree recorded for it.
-  std::size_t max_spans() const { return max_spans_; }
-
-  /// Appends a finished tree after the spans already held, renumbering its
-  /// ids (its roots stay roots), so one tree is one contiguous block. The
-  /// cap drops the tree's tail; those drops and the tree's own are added
-  /// to dropped() and to ids_trace_dropped_spans_total.
-  void append(SpanTree tree) IDS_EXCLUDES(mutex_);
-
-  /// Spans held.
-  std::size_t size() const IDS_EXCLUDES(mutex_);
-  /// Spans rejected by a cap, the tracer's or an appended tree's.
-  std::uint64_t dropped() const IDS_EXCLUDES(mutex_);
-
-  SpanTree snapshot() const IDS_EXCLUDES(mutex_);
-  void clear() IDS_EXCLUDES(mutex_);
-
-  std::string to_chrome_json() const IDS_EXCLUDES(mutex_);
-  std::string to_text_report() const IDS_EXCLUDES(mutex_);
-
- private:
-  const std::size_t max_spans_;
-  Counter* dropped_counter_;  // ids_trace_dropped_spans_total
-  mutable Mutex mutex_;
-  SpanTree tree_ IDS_GUARDED_BY(mutex_);
 };
 
 }  // namespace ids::telemetry

@@ -8,7 +8,7 @@
 #include <atomic>
 
 #include "core/engine.h"
-#include "telemetry/trace.h"
+#include "telemetry/query_log.h"
 
 namespace ids::core {
 namespace {
@@ -132,10 +132,10 @@ TEST_F(EdgeFixture, SkippedClausesChargeNothingAndRecordNoStage) {
   EXPECT_EQ(skipped.total_seconds, plain.total_seconds);
   EXPECT_EQ(skipped.solutions.num_rows(), 8u);
 
-  telemetry::Tracer tracer;
+  telemetry::QueryLog log(/*capacity=*/1, /*max_spans=*/1u << 16);
   EngineOptions traced;
   traced.topology = runtime::Topology::laptop(kRanks);
-  traced.tracer = &tracer;
+  traced.query_log = &log;
   IdsEngine storeless(traced, triples_.get(), features_.get());
   Query modal = q;
   modal.keywords.push_back({"d", {"alpha"}, true});
@@ -148,8 +148,10 @@ TEST_F(EdgeFixture, SkippedClausesChargeNothingAndRecordNoStage) {
   EXPECT_EQ(r.solutions.num_rows(), 8u);  // neither clause restricted ?d
   std::vector<std::string> timed;
   for (const auto& st : r.stages) timed.push_back(st.stage);
+  const std::vector<telemetry::QueryRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), 1u);
   std::vector<std::string> traced_stages;
-  for (const auto& s : tracer.snapshot().spans) {
+  for (const auto& s : records[0].trace.spans) {
     if (s.category == "stage") traced_stages.push_back(s.name);
   }
   const std::vector<std::string> want = {"scan", "gather"};

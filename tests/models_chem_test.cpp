@@ -176,6 +176,22 @@ TEST(Docking, WorkScalesWithLigandSizeAndExhaustiveness) {
   EXPECT_GT(deep.work_units, small.work_units);
 }
 
+TEST(Docking, ConstructorRejectsParamsThatYieldNoMode) {
+  // dock() ends with mode_energies.front(): a search with no restart or no
+  // reported mode would read an empty vector.
+  Rng rng(19);
+  const Molecule rec = receptor_from_structure(
+      predict_structure(datagen::random_protein_sequence(rng, 60)));
+  DockingParams no_restarts;
+  no_restarts.exhaustiveness = 0;
+  EXPECT_DEATH((void)DockingEngine(rec, no_restarts),
+               "exhaustiveness must be positive");
+  DockingParams no_modes;
+  no_modes.num_modes = -1;
+  EXPECT_DEATH((void)DockingEngine(rec, no_modes),
+               "num_modes must be positive");
+}
+
 TEST(Docking, ModeledCostInPaperEnvelope) {
   // Typical drug-like ligands must cost tens of seconds (the paper reports
   // 31-44 s per compound; we accept a slightly wider band for the size

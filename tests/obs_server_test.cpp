@@ -288,7 +288,8 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   cc.num_nodes = 2;
   cc.metrics = &reg;
   cache::CacheManager cache(cc);
-  QueryLog log(/*capacity=*/kQueries);  // retains every query of the run
+  // Retains every query of the run, each with its span tree.
+  QueryLog log(/*capacity=*/kQueries, /*max_spans=*/1u << 12);
 
   ObsServerOptions opts;
   opts.metrics = &reg;
@@ -297,19 +298,17 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   ASSERT_TRUE(server.start().ok());
   const std::uint16_t port = server.port();
 
-  // kThreads engines, each with its own tracer, execute queries into the
-  // shared cache/registry/log while the main thread scrapes over loopback
-  // the whole time.
+  // kThreads engines execute traced queries into the shared
+  // cache/registry/log while the main thread scrapes over loopback the
+  // whole time.
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&graph, &cache, &reg, &log] {
-      Tracer tracer(/*max_spans=*/1u << 12, &reg);
       EngineOptions eo;
       eo.topology = runtime::Topology::laptop(SharedGraph::kRanks);
       eo.cache = &cache;
       eo.metrics = &reg;
-      eo.tracer = &tracer;
       eo.query_log = &log;
       IdsEngine engine(eo, graph.triples.get(), graph.features.get());
       for (int i = 0; i < kQueriesPerThread; ++i) {

@@ -94,7 +94,8 @@ TEST(Hetero, RandomIsDeterministicInSeed) {
 
 TEST(RankExec, ForEachRankRunsAll) {
   std::vector<int> hits(64, 0);
-  runtime::for_each_rank(64, [&](int r) { hits[static_cast<std::size_t>(r)]++; });
+  runtime::for_each_rank(64, "rank.test",
+                         [&](int r) { hits[static_cast<std::size_t>(r)]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -1,6 +1,6 @@
 // Telemetry tests: metrics registry (series identity, bucket edges,
-// Prometheus/JSON exposition goldens, concurrency under TSan), the query
-// tracer (span tree, cap, Chrome trace_event schema), and the engine
+// Prometheus/JSON exposition goldens, concurrency under TSan), span trees
+// (cap, Chrome trace_event schema), the query log, and the engine
 // integration contract — per-stage trace spans must match
 // QueryResult::stages exactly, on the same integer-nanosecond clock.
 
@@ -371,7 +371,7 @@ TEST(Metrics, CacheTierCountersOnPrivateRegistry) {
             0u);
 }
 
-// ---- Span trees and the tracer --------------------------------------------
+// ---- Span trees -------------------------------------------------------------
 
 /// A span of an append() batch: `id` is its 1-based position in the batch.
 Span batch_span(std::string name, std::string category, SpanId id,
@@ -396,9 +396,7 @@ TEST(Trace, SpanTreeAndAttrs) {
   EXPECT_EQ(tree.find(kNoSpan), nullptr);
   EXPECT_EQ(tree.find(4), nullptr);
 
-  Tracer tracer;
-  tracer.append(tree);
-  const std::vector<Span> spans = tracer.snapshot().spans;
+  const std::vector<Span>& spans = tree.spans;
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].name, "query");
   EXPECT_EQ(spans[0].parent, kNoSpan);
@@ -412,10 +410,12 @@ TEST(Trace, SpanTreeAndAttrs) {
   EXPECT_EQ(spans[2].id, 3u);
   EXPECT_EQ(spans[2].parent, child);
 
-  // A second tree lands after the first as one block; its root stays a
-  // root and its parents move with it.
-  tracer.append(tree);
-  const std::vector<Span> both = tracer.snapshot().spans;
+  // Appended whole to another tree, a second copy lands after the first as
+  // one block; its root stays a root and its parents move with it.
+  SpanTree twice;
+  twice.append(tree.spans, kNoSpan, 16);
+  twice.append(tree.spans, kNoSpan, 16);
+  const std::vector<Span>& both = twice.spans;
   ASSERT_EQ(both.size(), 6u);
   EXPECT_EQ(both[3].id, 4u);
   EXPECT_EQ(both[3].parent, kNoSpan);
@@ -439,18 +439,11 @@ TEST(Trace, CapDropsEachExcessSpanOnce) {
   ASSERT_EQ(tree.spans.size(), 2u);
   EXPECT_EQ(tree.spans[1].name, "b");
   EXPECT_EQ(tree.dropped, 2u);
-
-  // The tracer's own cap drops the tail of an appended tree, and the
-  // tree's drops count too: 1 span kept of the 4 recorded.
-  Tracer tracer(/*max_spans=*/1);
-  tracer.append(tree);
-  EXPECT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.dropped(), 3u);
-  EXPECT_NE(tracer.to_chrome_json().find("\"dropped_spans\":3"),
+  // Both exports report the drops.
+  EXPECT_NE(tree.to_chrome_json().find("\"dropped_spans\":2"),
             std::string::npos);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_NE(tree.to_text_report().find("trace: 2 spans (2 dropped)"),
+            std::string::npos);
 }
 
 TEST(Trace, ChromeJsonIsValidJson) {
@@ -471,10 +464,10 @@ TEST(Trace, ChromeJsonIsValidJson) {
   EXPECT_NE(json.find("\"ts\":0.000,\"dur\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"modeled_ns\":1500"), std::string::npos);
   EXPECT_NE(json.find("\"matches\":\"7\""), std::string::npos);
-  // The tracer renders its contents the same way.
-  Tracer tracer;
-  tracer.append(tree);
-  EXPECT_EQ(tracer.to_chrome_json(), json);
+  // /tracez?fmt=json renders a record's tree the same way.
+  QueryLog log;
+  log.push({QueryResourceAccount{}, tree});
+  EXPECT_EQ(log.newest_trace_json(), json);
 }
 
 TEST(Trace, TextReportTreeAndCategorySummary) {
@@ -490,30 +483,11 @@ TEST(Trace, TextReportTreeAndCategorySummary) {
   EXPECT_NE(report.find("  filter"), std::string::npos);  // indented child
   EXPECT_NE(report.find("by category (modeled seconds):"), std::string::npos);
   EXPECT_NE(report.find("n=1"), std::string::npos);  // RunningStats summary
-  Tracer tracer;
-  tracer.append(tree);
-  EXPECT_EQ(tracer.to_text_report(), report);
-}
-
-TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
-  MetricsRegistry reg;
-  Tracer tracer(/*max_spans=*/2, &reg);
-  Counter* dropped = reg.counter("ids_trace_dropped_spans_total");
-  EXPECT_EQ(dropped->value(), 0u);
-  SpanTree tree;
-  for (int i = 0; i < 5; ++i) {
-    tree.append({batch_span("s", "stage", 1, kNoSpan, -1, 0, 0)}, kNoSpan,
-                4);
-  }
-  // The tree kept 4 and dropped 1; the tracer keeps 2 of those 4. The
-  // tracer's own count and the exported counter agree exactly.
-  tracer.append(tree);
-  EXPECT_EQ(tracer.dropped(), 3u);
-  EXPECT_EQ(dropped->value(), 3u);
-  // clear() resets the tracer but not the monotonic counter.
-  tracer.clear();
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(dropped->value(), 3u);
+  // /tracez shows a record's tree the same way, under its header.
+  QueryLog log;
+  log.push({QueryResourceAccount{}, tree});
+  EXPECT_NE(log.traces_text().find("=== trace #1 ===\n" + report),
+            std::string::npos);
 }
 
 // ---- Query resource accounts ---------------------------------------------
@@ -622,6 +596,14 @@ TEST(QueryLog, RetainsNewestRecordsUnderOneSequence) {
 
 // ---- Engine integration --------------------------------------------------
 
+/// A log that traces its queries, uncapped for these small queries.
+constexpr std::size_t kTraceAll = 1u << 16;
+
+/// The span tree of the newest record in `log`.
+SpanTree newest_trace(const QueryLog& log) {
+  return log.snapshot().back().trace;
+}
+
 /// Tiny graph fixture mirroring tests/engine_test.cpp: 10 people with an
 /// age feature and a friendship ring, sharded over 4 ranks.
 class TelemetryEngineFixture : public ::testing::Test {
@@ -650,7 +632,7 @@ class TelemetryEngineFixture : public ::testing::Test {
   }
 
   /// Scan + hash join + UDF filter + distinct + cached invoke + gather:
-  /// every stage kind the tracer knows about.
+  /// every stage kind a trace records.
   Query full_query() {
     Query q;
     q.patterns.push_back(
@@ -749,7 +731,7 @@ class TelemetryEngineFixture : public ::testing::Test {
 };
 
 TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
-  Tracer tracer;
+  QueryLog log(/*capacity=*/8, kTraceAll);
   MetricsRegistry reg;
   cache::CacheConfig cc;
   cc.num_nodes = 2;
@@ -759,16 +741,17 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
   opts.cache = &cache;
-  opts.tracer = &tracer;
+  opts.query_log = &log;
   opts.metrics = &reg;
   IdsEngine eng(opts, triples_.get(), features_.get());
   register_udfs(&eng);
 
   QueryResult r = eng.execute(full_query());
   ASSERT_GT(r.stages.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  const SpanTree trace = newest_trace(log);
+  EXPECT_EQ(trace.dropped, 0u);
 
-  std::vector<Span> spans = tracer.snapshot().spans;
+  const std::vector<Span>& spans = trace.spans;
   std::vector<Span> stage_spans;
   const Span* root = nullptr;
   for (const Span& s : spans) {
@@ -820,7 +803,7 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
 
   // Per-rank operator spans hang off stage spans; per-call spans hang off
   // the invoke span of the same rank. Row attrs add up to the result's
-  // row counts. A fresh tracer's span ids are 1-based recording indices.
+  // row counts. A record's span ids are 1-based recording indices.
   const Span no_span;
   auto parent_of = [&](const Span& s) -> const Span& {
     if (s.parent < 1 || s.parent > spans.size()) {
@@ -870,7 +853,7 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   EXPECT_TRUE(saw_udf_call);
 
   // The Chrome export of a real query is valid JSON.
-  EXPECT_TRUE(JsonValidator(tracer.to_chrome_json()).valid());
+  EXPECT_TRUE(JsonValidator(log.newest_trace_json()).valid());
 
   // The query is the cache's only client here, so its own hit/miss tally
   // equals the cache's registry counters exactly.
@@ -973,10 +956,11 @@ dropped 0
 TEST_F(TelemetryEngineFixture, SpanListMatchesGolden) {
   // A fresh engine runs the traced query: the span list matches the
   // golden in ids, parents, names, ranks, modeled ranges and attrs, every
-  // run. Under a cap the same prefix is kept and the rest counted.
+  // run. Under a cap the same prefix is kept and the rest counted, once in
+  // the record and once in the engine's registry.
   auto run = [this](std::size_t max_spans) {
     MetricsRegistry reg;
-    Tracer tracer(max_spans, &reg);
+    QueryLog log(/*capacity=*/8, max_spans);
     cache::CacheConfig cc;
     cc.num_nodes = 2;
     cc.metrics = &reg;
@@ -984,16 +968,19 @@ TEST_F(TelemetryEngineFixture, SpanListMatchesGolden) {
     EngineOptions opts;
     opts.topology = runtime::Topology::laptop(kRanks);
     opts.cache = &cache;
-    opts.tracer = &tracer;
+    opts.query_log = &log;
     opts.metrics = &reg;
     IdsEngine eng(opts, triples_.get(), features_.get());
     register_udfs(&eng);
     eng.execute(full_query());
-    return span_lines(tracer.snapshot());
+    const SpanTree trace = newest_trace(log);
+    EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(),
+              trace.dropped);
+    return span_lines(trace);
   };
   const std::string uncapped(kFullQuerySpans);
-  EXPECT_EQ(run(1u << 16), uncapped);
-  EXPECT_EQ(run(1u << 16), uncapped);
+  EXPECT_EQ(run(kTraceAll), uncapped);
+  EXPECT_EQ(run(kTraceAll), uncapped);
 
   // The first 20 span lines of the golden, and the other 36 dropped.
   std::size_t end = 0;
@@ -1046,19 +1033,17 @@ TEST_F(TelemetryEngineFixture, ExplainAfterProfileMatchesGolden) {
   EXPECT_EQ(udf_profile_effects().plan, kUdfProfilePlan);
 }
 
-TEST_F(TelemetryEngineFixture, CappedTracerKeepsEachQuerysOwnTree) {
-  // One engine, one tracer whose cap is below one query's span count, two
-  // identical queries. Each log record holds its own query's first 12
-  // spans and its own drop count; the tracer fills once and counts each
-  // span it could not keep exactly once, in dropped() and the counter.
+TEST_F(TelemetryEngineFixture, CappedLogKeepsEachQuerysOwnTree) {
+  // One engine, one log whose span cap is below one query's span count,
+  // two identical queries. Each record holds its own query's first 12
+  // spans and its own drop count, and the engine's counter counts each
+  // span the cap dropped exactly once.
   Query q = full_query();
   q.invokes[0].use_cache = false;  // no cache configured in this engine
   MetricsRegistry reg;
-  Tracer tracer(/*max_spans=*/12, &reg);
-  QueryLog log;
+  QueryLog log(/*capacity=*/8, /*max_spans=*/12);
   EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
-  opts.tracer = &tracer;
   opts.metrics = &reg;
   opts.query_log = &log;
   IdsEngine eng(opts, triples_.get(), features_.get());
@@ -1066,13 +1051,13 @@ TEST_F(TelemetryEngineFixture, CappedTracerKeepsEachQuerysOwnTree) {
   eng.execute(q);
   eng.execute(q);
 
-  Tracer solo;
-  opts.tracer = &solo;
-  opts.query_log = nullptr;
+  QueryLog solo_log(/*capacity=*/8, kTraceAll);
+  opts.query_log = &solo_log;
   IdsEngine solo_eng(opts, triples_.get(), features_.get());
   register_udfs(&solo_eng);
   solo_eng.execute(q);
-  const std::uint64_t n = solo.size();
+  const SpanTree solo = newest_trace(solo_log);
+  const std::uint64_t n = solo.spans.size();
   ASSERT_GT(n, 12u);
 
   const std::vector<QueryRecord> records = log.snapshot();
@@ -1080,71 +1065,19 @@ TEST_F(TelemetryEngineFixture, CappedTracerKeepsEachQuerysOwnTree) {
   EXPECT_EQ(records[0].trace.spans.size(), 12u);
   EXPECT_EQ(records[0].trace.dropped, n - 12);
   EXPECT_EQ(span_lines(records[1].trace), span_lines(records[0].trace));
-  SpanTree solo_prefix = solo.snapshot();
+  SpanTree solo_prefix = solo;
   solo_prefix.spans.resize(12);
   solo_prefix.dropped = n - 12;
   EXPECT_EQ(span_lines(records[0].trace), span_lines(solo_prefix));
   EXPECT_EQ(log.traces_text().find("untraced"), std::string::npos);
 
-  EXPECT_EQ(tracer.size(), 12u);
-  EXPECT_EQ(tracer.dropped(), 2 * n - 12);
   EXPECT_EQ(reg.counter("ids_trace_dropped_spans_total")->value(),
-            2 * n - 12);
+            2 * (n - 12));
 }
 
-TEST_F(TelemetryEngineFixture, AnotherTracerWriterLeavesTheRecordAlone) {
-  // A UDF on rank 0 appends a span to the engine's own tracer in the middle
-  // of the FILTER stage, once per row. The query's record holds none of
-  // those spans and equals the run in which the UDF wrote nothing. The
-  // filter order is fixed, so the first run's UDF profile does not
-  // reorder the second run's chain.
-  MetricsRegistry reg;
-  Tracer tracer(1u << 16, &reg);
-  QueryLog log;
-  EngineOptions opts;
-  opts.topology = runtime::Topology::laptop(kRanks);
-  opts.reorder_filters = false;
-  opts.tracer = &tracer;
-  opts.metrics = &reg;
-  opts.query_log = &log;
-  IdsEngine eng(opts, triples_.get(), features_.get());
-  register_udfs(&eng);
-  std::atomic<bool> write{false};
-  eng.registry().register_static(
-      "noisy", [&tracer, &write](const udf::UdfContext& ctx,
-                                 std::span<const expr::Value>) {
-        if (write.load() && ctx.rank == 0) {
-          SpanTree foreign;
-          foreign.append({batch_span("foreign", "other", 1, kNoSpan, -1, 0,
-                                     0)},
-                         kNoSpan, 1);
-          tracer.append(std::move(foreign));
-        }
-        return udf::UdfResult{true, sim::from_millis(1)};
-      });
-  Query q = full_query();
-  q.invokes[0].use_cache = false;  // no cache configured in this engine
-  q.filters.push_back(Expr::Udf("noisy", {Expr::Var("x")}));
-  eng.execute(q);
-  write.store(true);
-  eng.execute(q);
-
-  const std::vector<QueryRecord> records = log.snapshot();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(span_lines(records[1].trace), span_lines(records[0].trace));
-  std::size_t foreign_in_tracer = 0;
-  for (const Span& s : tracer.snapshot().spans) {
-    if (s.category == "other") ++foreign_in_tracer;
-  }
-  EXPECT_GT(foreign_in_tracer, 0u);
-  EXPECT_EQ(tracer.size(),
-            2 * records[0].trace.spans.size() + foreign_in_tracer);
-}
-
-TEST_F(TelemetryEngineFixture, EnginesSharingOneTracerPublishSoloTrees) {
-  // Several engines share one tracer and one log and run at once. Every
-  // record equals the solo run, and in the tracer each query is one
-  // contiguous block whose parents all point inside it.
+TEST_F(TelemetryEngineFixture, EnginesSharingOneLogPublishSoloTrees) {
+  // Several engines share one log and run at once. Every record equals
+  // the solo run.
   Query q = full_query();
   q.invokes[0].use_cache = false;  // no cache configured in these engines
   MetricsRegistry reg;
@@ -1152,19 +1085,16 @@ TEST_F(TelemetryEngineFixture, EnginesSharingOneTracerPublishSoloTrees) {
   opts.topology = runtime::Topology::laptop(kRanks);
   opts.metrics = &reg;
 
-  Tracer solo_tracer(1u << 16, &reg);
-  opts.tracer = &solo_tracer;
+  QueryLog solo_log(/*capacity=*/8, kTraceAll);
+  opts.query_log = &solo_log;
   IdsEngine solo(opts, triples_.get(), features_.get());
   register_udfs(&solo);
   solo.execute(q);
-  const std::string solo_lines = span_lines(solo_tracer.snapshot());
-  const std::size_t n = solo_tracer.size();
+  const std::string solo_lines = span_lines(newest_trace(solo_log));
 
   constexpr int kEngines = 4;
   constexpr int kQueriesPerEngine = 3;
-  Tracer tracer(1u << 16, &reg);
-  QueryLog log(/*capacity=*/kEngines * kQueriesPerEngine);
-  opts.tracer = &tracer;
+  QueryLog log(/*capacity=*/kEngines * kQueriesPerEngine, kTraceAll);
   opts.query_log = &log;
   std::vector<std::thread> workers;
   workers.reserve(kEngines);
@@ -1182,18 +1112,6 @@ TEST_F(TelemetryEngineFixture, EnginesSharingOneTracerPublishSoloTrees) {
   for (const QueryRecord& record : records) {
     EXPECT_EQ(span_lines(record.trace), solo_lines)
         << "record " << record.account.sequence;
-  }
-  const std::vector<Span> spans = tracer.snapshot().spans;
-  ASSERT_EQ(spans.size(), records.size() * n);
-  for (std::size_t block = 0; block < records.size(); ++block) {
-    const SpanId first = static_cast<SpanId>(block * n + 1);
-    EXPECT_EQ(spans[first - 1].category, "query");
-    EXPECT_EQ(spans[first - 1].parent, kNoSpan);
-    for (std::size_t i = 1; i < n; ++i) {
-      const Span& s = spans[first - 1 + i];
-      EXPECT_GE(s.parent, first) << "span " << s.id;
-      EXPECT_LT(s.parent, s.id) << "span " << s.id;
-    }
   }
 }
 
@@ -1224,9 +1142,8 @@ TEST_F(TelemetryEngineFixture, StatuszJsonEscapesStageNames) {
 }
 
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
-  Tracer tracer;
   MetricsRegistry reg;
-  QueryLog log;
+  QueryLog log(/*capacity=*/8, kTraceAll);
   cache::CacheConfig cc;
   cc.num_nodes = 2;
   cc.metrics = &reg;
@@ -1235,7 +1152,6 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
   opts.cache = &cache;
-  opts.tracer = &tracer;
   opts.metrics = &reg;
   opts.query_log = &log;
   IdsEngine eng(opts, triples_.get(), features_.get());
@@ -1318,11 +1234,11 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
 }
 
 TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
-  Tracer tracer;
+  QueryLog log(/*capacity=*/8, kTraceAll);
   MetricsRegistry reg;
   EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
-  opts.tracer = &tracer;
+  opts.query_log = &log;
   opts.metrics = &reg;
   IdsEngine eng(opts, triples_.get(), features_.get());
   register_udfs(&eng);
@@ -1341,7 +1257,7 @@ TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
   EXPECT_NE(plan.find("invoke score"), std::string::npos);
 
   std::vector<std::string> traced;
-  for (const Span& s : tracer.snapshot().spans) {
+  for (const Span& s : newest_trace(log).spans) {
     if (s.category == "stage") traced.push_back(s.name);
   }
   std::vector<std::string> timed;
@@ -1355,7 +1271,7 @@ TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
   }
 
   // The text report covers the stages too (with the stats.h summary).
-  std::string report = tracer.to_text_report();
+  std::string report = log.traces_text();
   EXPECT_NE(report.find("invoke:score"), std::string::npos);
   EXPECT_NE(report.find("n="), std::string::npos);
 }
@@ -1366,9 +1282,11 @@ TEST_F(TelemetryEngineFixture, UntracedRunRecordsNothingButSameResult) {
   MetricsRegistry reg;
   opts.metrics = &reg;
 
-  Tracer tracer;
+  QueryLog log(/*capacity=*/8, kTraceAll);
   EngineOptions traced_opts = opts;
-  traced_opts.tracer = &tracer;
+  traced_opts.query_log = &log;
+  QueryLog untraced_log;  // max_spans 0: accounts only
+  opts.query_log = &untraced_log;
 
   Query q = full_query();
   q.invokes[0].use_cache = false;
@@ -1388,7 +1306,9 @@ TEST_F(TelemetryEngineFixture, UntracedRunRecordsNothingButSameResult) {
     EXPECT_EQ(a.stages[i].stage, b.stages[i].stage);
     EXPECT_EQ(a.stages[i].seconds, b.stages[i].seconds);
   }
-  EXPECT_GT(tracer.size(), 0u);
+  EXPECT_GT(newest_trace(log).spans.size(), 0u);
+  EXPECT_TRUE(newest_trace(untraced_log).spans.empty());
+  EXPECT_EQ(newest_trace(untraced_log).dropped, 0u);
 }
 
 TEST(ThreadPoolMetrics, TasksFlowIntoGlobalRegistry) {

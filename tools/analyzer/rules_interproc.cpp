@@ -485,7 +485,7 @@ void rule_wallclock(Analysis& a) {
                    ? ", which is reachable from IdsEngine::execute — modeled "
                      "time must come from the per-rank virtual clocks"
                    : " outside src/telemetry/";
-        msg += "; route it through telemetry::Tracer::wall_now_ns() or "
+        msg += "; route it through telemetry::wall_now_ns() or "
                "annotate the function IDS_WALLCLOCK_OK";
         a.report("wallclock-in-engine", f, f.toks[i].line, std::move(msg));
       } else if (in_reach && is_rng_token(t) && !path_is_rng_home(f.path)) {
